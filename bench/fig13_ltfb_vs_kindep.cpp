@@ -72,15 +72,19 @@ int main(int argc, char** argv) {
                            setup.dataset, setup.splits.validation, 32)
             .total();
 
-    core::KIndependentDriver kind_driver(
-        core::build_population(setup.dataset, setup.splits, population),
-        config);
-    kind_driver.run();
+    // K-independent is LTFB without the tournaments: every trainer spends
+    // the same pretraining and step budget marooned on its own shard.
+    auto independent =
+        core::build_population(setup.dataset, setup.splits, population);
+    for (auto& trainer : independent) {
+      trainer->pretrain_autoencoder(config.pretrain_steps);
+      trainer->train_steps(config.rounds * config.steps_per_round);
+    }
     const std::size_t kind_best =
-        kind_driver.best_trainer(setup.splits.validation, 32);
+        core::best_trainer(independent, setup.splits.validation, 32);
     const double kind_loss =
-        core::evaluate_gan(kind_driver.trainer(kind_best).model(),
-                           setup.dataset, setup.splits.validation, 32)
+        core::evaluate_gan(independent[kind_best]->model(), setup.dataset,
+                           setup.splits.validation, 32)
             .total();
 
     const double advantage = kind_loss / ltfb_loss;

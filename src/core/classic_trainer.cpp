@@ -4,7 +4,7 @@
 #include <limits>
 #include <numeric>
 
-#include "core/ltfb.hpp"  // tournament_pairs
+#include "core/ltfb.hpp"  // tournament_pairs, duel
 
 namespace ltfb::core {
 
@@ -177,18 +177,18 @@ void ClassicLtfbDriver::run_round() {
     ClassicTrainer& tb = *trainers_[static_cast<std::size_t>(b)];
     const std::vector<float> wa = ta.model().flatten_weights();
     const std::vector<float> wb = tb.model().flatten_weights();
-    auto duel = [&](ClassicTrainer& local, const std::vector<float>& own,
-                    const std::vector<float>& received) {
-      const double own_score = local.holdout_loss();
-      local.model().load_flat_weights(received);
-      const double received_score = local.holdout_loss();
-      if (received_score >= own_score) {
-        local.model().load_flat_weights(own);
-      }
+    auto duel_side = [&](ClassicTrainer& local, const std::vector<float>& own,
+                         const std::vector<float>& received) {
+      TrainerRoundStat stat;
+      duel([&] { return local.holdout_loss(); },
+           [&](std::span<const float> weights) {
+             local.model().load_flat_weights(weights);
+           },
+           own, received, stat);
       ++duels_;
     };
-    duel(ta, wa, wb);
-    duel(tb, wb, wa);
+    duel_side(ta, wa, wb);
+    duel_side(tb, wb, wa);
   }
   ++round_;
 }

@@ -87,7 +87,8 @@ class ClassicTrainer {
   std::size_t steps_ = 0;
 };
 
-/// LTFB over classic trainers: full-model exchange, hold-out-loss duels.
+/// LTFB over classic trainers: full-model exchange, hold-out-loss duels
+/// decided by the shared core::duel (core/ltfb.hpp).
 struct ClassicLtfbConfig {
   std::size_t steps_per_round = 20;
   std::size_t rounds = 10;

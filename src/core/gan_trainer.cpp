@@ -7,6 +7,30 @@
 
 namespace ltfb::core {
 
+namespace {
+
+/// Rows [begin, end) of a batch.
+data::Batch slice_batch(const data::Batch& batch, std::size_t begin,
+                        std::size_t end) {
+  LTFB_CHECK(begin < end && end <= batch.size());
+  const std::size_t rows = end - begin;
+  data::Batch shard;
+  auto slice = [&](const tensor::Tensor& src, tensor::Tensor& dst) {
+    const std::size_t width = src.cols();
+    dst.resize({rows, width});
+    std::copy_n(src.raw() + begin * width, rows * width, dst.raw());
+  };
+  slice(batch.inputs, shard.inputs);
+  slice(batch.scalars, shard.scalars);
+  slice(batch.images, shard.images);
+  slice(batch.outputs, shard.outputs);
+  shard.ids.assign(batch.ids.begin() + static_cast<std::ptrdiff_t>(begin),
+                   batch.ids.begin() + static_cast<std::ptrdiff_t>(end));
+  return shard;
+}
+
+}  // namespace
+
 gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
                               const data::Dataset& dataset,
                               const std::vector<std::size_t>& view,
@@ -52,16 +76,31 @@ GanTrainer::GanTrainer(int trainer_id, gan::CycleGanConfig model_config,
                                 static_cast<std::uint64_t>(trainer_id)),
               /*drop_last=*/true),
       batch_size_(batch_size),
-      train_size_(reader_.batches_per_epoch() * batch_size) {
+      train_size_(reader_.batches_per_epoch() * batch_size),
+      shard_rows_(batch_size) {
   LTFB_CHECK_MSG(!tournament_view_.empty(),
                  "trainer " << trainer_id << " has no tournament set");
+}
+
+void GanTrainer::set_row_shard(std::size_t begin, std::size_t rows) {
+  LTFB_CHECK_MSG(rows > 0 && begin + rows <= batch_size_,
+                 "row shard [" << begin << ", " << begin + rows
+                               << ") exceeds the mini-batch of "
+                               << batch_size_);
+  shard_begin_ = begin;
+  shard_rows_ = rows;
+}
+
+data::Batch GanTrainer::next_batch() {
+  data::Batch batch = reader_.next();
+  if (shard_rows_ == batch_size_) return batch;
+  return slice_batch(batch, shard_begin_, shard_begin_ + shard_rows_);
 }
 
 void GanTrainer::pretrain_autoencoder(std::size_t steps) {
   LTFB_SPAN("trainer/pretrain");
   for (std::size_t s = 0; s < steps; ++s) {
-    const data::Batch batch = reader_.next();
-    model_.pretrain_autoencoder_step(batch);
+    model_.pretrain_autoencoder_step(next_batch());
   }
 }
 
@@ -70,24 +109,19 @@ gan::StepMetrics GanTrainer::train_steps(std::size_t steps) {
   gan::StepMetrics last{};
   for (std::size_t s = 0; s < steps; ++s) {
     LTFB_TIMED_SCOPE("trainer/step");
-    const data::Batch batch = reader_.next();
-    last = model_.train_step(batch);
+    last = model_.train_step(next_batch());
     ++steps_;
   }
   return last;
 }
 
-double GanTrainer::tournament_score() {
-  return evaluate_gan(model_, *dataset_, tournament_view_, batch_size_)
-      .total();
-}
-
-double GanTrainer::score_candidate_generator(
-    std::span<const float> candidate) {
-  const std::vector<float> saved = model_.generator_weights();
-  model_.load_generator_weights(candidate);
-  const double score = tournament_score();
-  model_.load_generator_weights(saved);
+double GanTrainer::tournament_score(TournamentMetric metric) {
+  const gan::EvalMetrics m =
+      evaluate_gan(model_, *dataset_, tournament_view_, batch_size_);
+  double score = m.total();
+  if (metric == TournamentMetric::ForwardInverseAdversarial) {
+    score += m.generator_adversarial;
+  }
   return score;
 }
 

@@ -2,10 +2,12 @@
 // a mini-batch reader over its private partition of the training data, and
 // a local tournament hold-out set (Sec. III-A, III-C).
 //
-// In the paper a trainer is 4 nodes / 16 GPUs of Lassen; here it is a
-// logical object that the LTFB drivers step. The data-parallel dimension
-// *within* a trainer is exercised separately via nn::allreduce_gradients
-// over a trainer communicator (see core/ltfb_comm.hpp and the tests).
+// In the paper a trainer is 4 nodes / 16 GPUs of Lassen; here it is the
+// one object every GAN driver steps — the lockstep, rank-parallel and
+// elastic drivers alike (DESIGN.md §17). Inside a rank-parallel trainer
+// every rank owns an identical GanTrainer that draws the same global
+// mini-batch and trains on its own row shard of it, with gradients
+// all-reduced through the data-parallel seams below.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,13 @@ gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
                               const data::Dataset& dataset,
                               const std::vector<std::size_t>& view,
                               std::size_t batch_size);
+
+/// What a tournament evaluates on the local tournament set.
+enum class TournamentMetric {
+  ForwardInverse,  // forward + inverse validation loss (Sec. IV quality metric)
+  ForwardInverseAdversarial  // additionally charge the generator the BCE it
+                             // incurs against the LOCAL critic (Fig. 6 flavour)
+};
 
 /// Complete resumable state of one GanTrainer. Weights alone are not
 /// enough for a bit-identical restart: the optimizer moments and the
@@ -62,13 +71,15 @@ class GanTrainer {
   /// `steps` full GAN training steps on the local partition.
   gan::StepMetrics train_steps(std::size_t steps);
 
-  /// The tournament metric on the local tournament set: forward + inverse
-  /// validation loss, lower is better (Sec. IV-D).
-  double tournament_score();
+  /// Data-parallel layout: every rank of a trainer draws the SAME global
+  /// mini-batch (shared reader seed) and trains on rows [begin, begin +
+  /// rows) of it. The default shard is the whole batch.
+  void set_row_shard(std::size_t begin, std::size_t rows);
 
-  /// Scores an arbitrary candidate weight vector (a partner's generator)
-  /// on the local tournament set without clobbering the current model.
-  double score_candidate_generator(std::span<const float> generator);
+  /// The tournament metric on the local tournament set, lower is better
+  /// (Sec. IV-D): forward + inverse validation loss, plus the generator's
+  /// adversarial loss under ForwardInverseAdversarial.
+  double tournament_score(TournamentMetric metric);
 
   const data::Dataset& dataset() const noexcept { return *dataset_; }
   const std::vector<std::size_t>& tournament_view() const noexcept {
@@ -94,6 +105,9 @@ class GanTrainer {
   }
 
  private:
+  /// This rank's rows of the next global mini-batch.
+  data::Batch next_batch();
+
   int id_;
   gan::CycleGan model_;
   const data::Dataset* dataset_;
@@ -101,6 +115,8 @@ class GanTrainer {
   data::MiniBatchReader reader_;
   std::size_t batch_size_;
   std::size_t train_size_;
+  std::size_t shard_begin_ = 0;
+  std::size_t shard_rows_;
   std::size_t steps_ = 0;
 };
 

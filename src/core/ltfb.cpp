@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <numeric>
 
+#include "comm/communicator.hpp"
 #include "core/population_checkpoint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
@@ -27,10 +29,23 @@ std::vector<std::pair<int, int>> tournament_pairs(std::size_t n,
   return pairs;
 }
 
-namespace {
+int tournament_partner(const std::map<int, int>& population, int self,
+                       std::uint64_t seed, std::size_t round) {
+  const auto mine = population.find(self);
+  LTFB_CHECK_MSG(mine != population.end(),
+                 "trainer " << self << " is not in this round's population");
+  const auto position =
+      static_cast<int>(std::distance(population.begin(), mine));
+  for (const auto& [a, b] : tournament_pairs(population.size(), seed, round)) {
+    if (a == position || b == position) {
+      return std::next(population.begin(), a == position ? b : a)->first;
+    }
+  }
+  return -1;
+}
 
-/// Flattened model snapshot respecting the exchange scope.
-std::vector<float> snapshot(const gan::CycleGan& model, ExchangeScope scope) {
+std::vector<float> exchange_weights(const gan::CycleGan& model,
+                                    ExchangeScope scope) {
   std::vector<float> flat = model.generator_weights();
   if (scope == ExchangeScope::FullModel) {
     const auto disc = model.discriminator_weights();
@@ -39,8 +54,8 @@ std::vector<float> snapshot(const gan::CycleGan& model, ExchangeScope scope) {
   return flat;
 }
 
-void restore(gan::CycleGan& model, std::span<const float> flat,
-             ExchangeScope scope) {
+void load_exchange_weights(gan::CycleGan& model, std::span<const float> flat,
+                           ExchangeScope scope) {
   const std::size_t gen = model.generator_parameter_count();
   model.load_generator_weights(flat.subspan(0, gen));
   if (scope == ExchangeScope::FullModel) {
@@ -48,7 +63,79 @@ void restore(gan::CycleGan& model, std::span<const float> flat,
   }
 }
 
-}  // namespace
+bool gan_duel(GanTrainer& trainer, const LtfbConfig& config,
+              std::span<const float> own, std::span<const float> received,
+              TrainerRoundStat& stat) {
+  const bool adopted = duel(
+      [&] { return trainer.tournament_score(config.metric); },
+      [&](std::span<const float> weights) {
+        load_exchange_weights(trainer.model(), weights, config.scope);
+      },
+      own, received, stat);
+  if (adopted) LTFB_COUNTER_ADD("ltfb/adoptions", 1);
+  return adopted;
+}
+
+bool survives_peer_faults(const std::function<void()>& op,
+                          bool fault_aware) {
+  try {
+    op();
+    return true;
+  } catch (const RankFailedError&) {
+    if (!fault_aware) throw;
+  } catch (const TimeoutError&) {
+    if (!fault_aware) throw;
+  }
+  LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
+  return false;
+}
+
+void tournament_exchange(comm::Communicator& comm, int partner_rank, int tag,
+                         GanTrainer& trainer, const LtfbConfig& config,
+                         std::chrono::milliseconds deadline, bool fault_aware,
+                         TrainerRoundStat& stat) {
+  LTFB_CHECK_MSG(partner_rank >= 0 && partner_rank < comm.size() &&
+                     partner_rank != comm.rank(),
+                 "tournament partner rank " << partner_rank
+                                            << " is not another rank of a "
+                                            << comm.size() << "-rank comm");
+  const std::vector<float> own =
+      exchange_weights(trainer.model(), config.scope);
+  // A failed exchange throws before any load: the own model stays put.
+  stat.partner_failed = !survives_peer_faults(
+      [&] {
+        comm::Buffer received;
+        {
+          LTFB_SPAN("ltfb/exchange");
+          received =
+              comm.sendrecv(partner_rank, tag,
+                            comm::Serializer::pack_floats(own), deadline);
+        }
+        gan_duel(trainer, config, own,
+                 comm::Deserializer::unpack_floats(received), stat);
+      },
+      fault_aware);
+  if (stat.partner_failed) LTFB_COUNTER_ADD("ltfb/rounds_degraded", 1);
+}
+
+std::size_t best_trainer(
+    const std::vector<std::unique_ptr<GanTrainer>>& trainers,
+    const std::vector<std::size_t>& validation_view, std::size_t batch_size) {
+  LTFB_CHECK_MSG(!trainers.empty(), "best_trainer needs a population");
+  std::size_t best = 0;
+  double best_loss = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < trainers.size(); ++i) {
+    const double loss = evaluate_gan(trainers[i]->model(),
+                                     trainers[i]->dataset(), validation_view,
+                                     batch_size)
+                            .total();
+    if (loss < best_loss) {
+      best_loss = loss;
+      best = i;
+    }
+  }
+  return best;
+}
 
 LocalLtfbDriver::LocalLtfbDriver(
     std::vector<std::unique_ptr<GanTrainer>> trainers, LtfbConfig config)
@@ -82,17 +169,6 @@ LocalLtfbDriver::LocalLtfbDriver(
 GanTrainer& LocalLtfbDriver::trainer(std::size_t index) {
   LTFB_CHECK(index < trainers_.size());
   return *trainers_[index];
-}
-
-double LocalLtfbDriver::metric_score(GanTrainer& trainer) {
-  const gan::EvalMetrics m =
-      evaluate_gan(trainer.model(), trainer.dataset(),
-                   trainer.tournament_view(), trainer.batch_size());
-  double score = m.total();
-  if (config_.metric == TournamentMetric::ForwardInverseAdversarial) {
-    score += m.generator_adversarial;
-  }
-  return score;
 }
 
 void LocalLtfbDriver::pretrain() {
@@ -137,33 +213,24 @@ const RoundRecord& LocalLtfbDriver::run_round() {
   for (const auto& [a, b] : pairs) {
     GanTrainer& ta = *trainers_[static_cast<std::size_t>(a)];
     GanTrainer& tb = *trainers_[static_cast<std::size_t>(b)];
-    const std::vector<float> wa = snapshot(ta.model(), config_.scope);
-    const std::vector<float> wb = snapshot(tb.model(), config_.scope);
+    const std::vector<float> wa = exchange_weights(ta.model(), config_.scope);
+    const std::vector<float> wb = exchange_weights(tb.model(), config_.scope);
 
     const float lr_a = ta.model().learning_rate();
     const float lr_b = tb.model().learning_rate();
-    auto duel = [&](GanTrainer& local, const std::vector<float>& own,
-                    const std::vector<float>& received, float partner_lr,
-                    TrainerRoundStat& stat) {
-      stat.own_score = metric_score(local);
-      restore(local.model(), received, config_.scope);
-      stat.partner_score = metric_score(local);
-      if (stat.partner_score < stat.own_score) {
-        stat.adopted_partner = true;  // keep the received model
-        LTFB_COUNTER_ADD("ltfb/adoptions", 1);
-        if (config_.lr_perturbation > 0.0f) {
-          // PBT exploit/explore: inherit the winner's learning rate with a
-          // deterministic perturbation.
-          util::Rng rng(util::derive_seed(
-              config_.pairing_seed, round_counter_,
-              static_cast<std::uint64_t>(local.id())));
-          const float factor = static_cast<float>(
-              rng.uniform(1.0 - config_.lr_perturbation,
-                          1.0 + config_.lr_perturbation));
-          local.model().set_learning_rate(partner_lr * factor);
-        }
-      } else {
-        restore(local.model(), own, config_.scope);
+    auto duel_side = [&](GanTrainer& local, const std::vector<float>& own,
+                         const std::vector<float>& received, float partner_lr,
+                         TrainerRoundStat& stat) {
+      if (gan_duel(local, config_, own, received, stat) &&
+          config_.lr_perturbation > 0.0f) {
+        // PBT exploit/explore: inherit the winner's learning rate with a
+        // deterministic perturbation.
+        util::Rng rng(
+            util::derive_seed(config_.pairing_seed, round_counter_,
+                              static_cast<std::uint64_t>(local.id())));
+        const float factor = static_cast<float>(rng.uniform(
+            1.0 - config_.lr_perturbation, 1.0 + config_.lr_perturbation));
+        local.model().set_learning_rate(partner_lr * factor);
       }
     };
 
@@ -171,8 +238,8 @@ const RoundRecord& LocalLtfbDriver::run_round() {
     auto& stat_b = record.stats[static_cast<std::size_t>(b)];
     stat_a.partner_id = tb.id();
     stat_b.partner_id = ta.id();
-    duel(ta, wa, wb, lr_b, stat_a);
-    duel(tb, wb, wa, lr_a, stat_b);
+    duel_side(ta, wa, wb, lr_b, stat_a);
+    duel_side(tb, wb, wa, lr_a, stat_b);
   }
 
   ++round_counter_;
@@ -216,23 +283,6 @@ void LocalLtfbDriver::save_checkpoint(const std::string& path) const {
   checkpoint.history = history_;
   save_population_checkpoint(path, checkpoint);
   LTFB_COUNTER_ADD("ltfb/checkpoints_written", 1);
-}
-
-std::size_t LocalLtfbDriver::best_trainer(
-    const std::vector<std::size_t>& validation_view, std::size_t batch_size) {
-  std::size_t best = 0;
-  double best_loss = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < trainers_.size(); ++i) {
-    const double loss =
-        evaluate_gan(trainers_[i]->model(), trainers_[i]->dataset(),
-                     validation_view, batch_size)
-            .total();
-    if (loss < best_loss) {
-      best_loss = loss;
-      best = i;
-    }
-  }
-  return best;
 }
 
 bool export_history_csv(const std::vector<RoundRecord>& history,
@@ -285,54 +335,6 @@ bool export_history_csv(const std::vector<RoundRecord>& history,
     return false;
   }
   return true;
-}
-
-KIndependentDriver::KIndependentDriver(
-    std::vector<std::unique_ptr<GanTrainer>> trainers, LtfbConfig config)
-    : trainers_(std::move(trainers)), config_(config) {
-  LTFB_CHECK_MSG(!trainers_.empty(),
-                 "K-independent training needs at least one trainer");
-}
-
-GanTrainer& KIndependentDriver::trainer(std::size_t index) {
-  LTFB_CHECK(index < trainers_.size());
-  return *trainers_[index];
-}
-
-void KIndependentDriver::pretrain() {
-  for (auto& trainer : trainers_) {
-    trainer->pretrain_autoencoder(config_.pretrain_steps);
-  }
-}
-
-void KIndependentDriver::run_round() {
-  for (auto& trainer : trainers_) {
-    trainer->train_steps(config_.steps_per_round);
-  }
-}
-
-void KIndependentDriver::run() {
-  pretrain();
-  for (std::size_t r = 0; r < config_.rounds; ++r) {
-    run_round();
-  }
-}
-
-std::size_t KIndependentDriver::best_trainer(
-    const std::vector<std::size_t>& validation_view, std::size_t batch_size) {
-  std::size_t best = 0;
-  double best_loss = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < trainers_.size(); ++i) {
-    const double loss =
-        evaluate_gan(trainers_[i]->model(), trainers_[i]->dataset(),
-                     validation_view, batch_size)
-            .total();
-    if (loss < best_loss) {
-      best_loss = loss;
-      best = i;
-    }
-  }
-  return best;
 }
 
 }  // namespace ltfb::core

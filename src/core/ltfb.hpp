@@ -13,21 +13,35 @@
 // exchanged; discriminators stay local, acting as a panel of independent
 // teachers. Full-model exchange is retained as an ablation.
 //
-// Two drivers share this logic:
+// This file is the tournament engine (DESIGN.md §17): every tournament
+// decision lives here once, and every driver calls it.
 //   * LocalLtfbDriver — deterministic single-thread lockstep over in-process
 //     trainers (used by the quality benches, Figs. 12/13).
 //   * run_distributed_ltfb (ltfb_comm.hpp) — rank-parallel trainers over
 //     ltfb::comm with data parallelism inside each trainer (LBANN's shape).
+//   * run_elastic_ltfb (scheduler.hpp) — single-rank trainers under churn.
+//   * ClassicLtfbDriver (classic_trainer.hpp) — non-GAN LTFB, via duel().
+// The K-independent baseline (Sec. IV-E) is no driver at all: it is
+// build_population plus pretrain_autoencoder and train_steps(rounds x
+// steps_per_round) on every trainer, then best_trainer.
 #pragma once
 
+#include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/gan_trainer.hpp"
+
+namespace ltfb::comm {
+class Communicator;
+}  // namespace ltfb::comm
 
 namespace ltfb::core {
 
@@ -37,13 +51,6 @@ enum class ExchangeScope {
   FullModel       // ablation: critic travels too
 };
 
-/// What the local tournament evaluates.
-enum class TournamentMetric {
-  ForwardInverse,  // forward + inverse validation loss (Sec. IV quality metric)
-  ForwardInverseAdversarial  // additionally charge the generator the BCE it
-                             // incurs against the LOCAL critic (Fig. 6 flavour)
-};
-
 struct LtfbConfig {
   std::size_t steps_per_round = 50;  // mini-batch steps between tournaments
   std::size_t rounds = 20;
@@ -51,6 +58,8 @@ struct LtfbConfig {
   ExchangeScope scope = ExchangeScope::GeneratorOnly;
   TournamentMetric metric = TournamentMetric::ForwardInverse;
   std::uint64_t pairing_seed = 0x7031'13fbull;
+  // The four fields below are read by LocalLtfbDriver only; the
+  // rank-parallel drivers reject a config that sets any of them.
   /// PBT-style hyperparameter exploration (Jaderberg et al., the
   /// population-based-training cousin the paper cites): when a trainer
   /// adopts its partner's model it also inherits the partner's learning
@@ -75,6 +84,21 @@ struct LtfbConfig {
 std::vector<std::pair<int, int>> tournament_pairs(std::size_t n,
                                                   std::uint64_t seed,
                                                   std::size_t round);
+
+/// The trainer tournament_pairs pairs with trainer `self` this round, over
+/// the live `population` (trainer id -> its address, iterated in id
+/// order), or -1 when `self` sits out. Throws when `self` is not live.
+int tournament_partner(const std::map<int, int>& population, int self,
+                       std::uint64_t seed, std::size_t round);
+
+/// The flat weights a tournament exchanges: the generator bundle, followed
+/// by the critic under FullModel.
+std::vector<float> exchange_weights(const gan::CycleGan& model,
+                                    ExchangeScope scope);
+
+/// Loads weights laid out by exchange_weights under the same scope.
+void load_exchange_weights(gan::CycleGan& model, std::span<const float> flat,
+                           ExchangeScope scope);
 
 struct TrainerRoundStat {
   int trainer_id = 0;
@@ -105,6 +129,55 @@ struct RoundRecord {
   double max_rank_gap_s = 0.0;
 };
 
+/// The one tournament decision (Sec. III-C), for any trainer kind: score
+/// the own model, load the received weights, score them on the same local
+/// tournament set, and keep them iff the partner's score is finite and
+/// either the own score is not or the partner's is strictly lower. A
+/// non-finite score therefore always loses. Otherwise the own weights are
+/// loaded back. Fills stat's scores and adopted flag; returns the flag.
+template <typename Score, typename Load>
+bool duel(Score&& score, Load&& load, std::span<const float> own,
+          std::span<const float> received, TrainerRoundStat& stat) {
+  stat.own_score = score();
+  load(received);
+  stat.partner_score = score();
+  stat.adopted_partner =
+      std::isfinite(stat.partner_score) &&
+      (!std::isfinite(stat.own_score) || stat.partner_score < stat.own_score);
+  if (!stat.adopted_partner) load(own);
+  return stat.adopted_partner;
+}
+
+/// duel() for a GAN trainer under `config`'s exchange scope and tournament
+/// metric; counts the adoption in telemetry.
+bool gan_duel(GanTrainer& trainer, const LtfbConfig& config,
+              std::span<const float> own, std::span<const float> received,
+              TrainerRoundStat& stat);
+
+/// Runs `op` and reports whether it completed. A peer that is dead
+/// (RankFailedError) or silent past its deadline (TimeoutError) makes it
+/// count ltfb/faults_detected and return false instead — the two faults
+/// the survivor protocols route around. Every other error propagates, and
+/// so do these two when `fault_aware` is false (fail-stop).
+bool survives_peer_faults(const std::function<void()>& op,
+                          bool fault_aware = true);
+
+/// A leader's side of one rank-parallel tournament: swaps exchange weights
+/// with `partner_rank` over `comm` under `tag`, bounded by `deadline`, then
+/// runs gan_duel. When the partner is dead or silent (survives_peer_faults)
+/// the own model stays loaded, stat.partner_failed is set and the round is
+/// counted as degraded.
+void tournament_exchange(comm::Communicator& comm, int partner_rank, int tag,
+                         GanTrainer& trainer, const LtfbConfig& config,
+                         std::chrono::milliseconds deadline, bool fault_aware,
+                         TrainerRoundStat& stat);
+
+/// Index of the trainer whose model scores best (lowest forward+inverse
+/// loss) on `validation_view` — how a population's final model is chosen.
+std::size_t best_trainer(
+    const std::vector<std::unique_ptr<GanTrainer>>& trainers,
+    const std::vector<std::size_t>& validation_view, std::size_t batch_size);
+
 class LocalLtfbDriver {
  public:
   LocalLtfbDriver(std::vector<std::unique_ptr<GanTrainer>> trainers,
@@ -127,10 +200,11 @@ class LocalLtfbDriver {
   /// the checkpoint was written) and only the remaining rounds run.
   void run();
 
-  /// Index of the trainer whose model scores best (lowest forward+inverse
-  /// loss) on the given validation view.
+  /// core::best_trainer over this population.
   std::size_t best_trainer(const std::vector<std::size_t>& validation_view,
-                           std::size_t batch_size);
+                           std::size_t batch_size) {
+    return core::best_trainer(trainers_, validation_view, batch_size);
+  }
 
   /// Writes the whole population atomically to `path` (checkpoint v2).
   void save_checkpoint(const std::string& path) const;
@@ -140,8 +214,6 @@ class LocalLtfbDriver {
   bool resumed() const noexcept { return resumed_; }
 
  private:
-  double metric_score(GanTrainer& trainer);
-
   std::vector<std::unique_ptr<GanTrainer>> trainers_;
   LtfbConfig config_;
   std::vector<RoundRecord> history_;
@@ -162,28 +234,5 @@ class LocalLtfbDriver {
 /// and leaves no partial file at `path`.
 bool export_history_csv(const std::vector<RoundRecord>& history,
                         const std::string& path);
-
-/// The paper's Sec. IV-E baseline: the same population, the same data
-/// partitions, the same step counts — but no tournaments; each trainer is
-/// marooned on its shard. Select the best final model by validation loss.
-class KIndependentDriver {
- public:
-  KIndependentDriver(std::vector<std::unique_ptr<GanTrainer>> trainers,
-                     LtfbConfig config);
-
-  std::size_t population() const noexcept { return trainers_.size(); }
-  GanTrainer& trainer(std::size_t index);
-
-  void pretrain();
-  void run_round();  // steps_per_round steps per trainer, no exchange
-  void run();
-
-  std::size_t best_trainer(const std::vector<std::size_t>& validation_view,
-                           std::size_t batch_size);
-
- private:
-  std::vector<std::unique_ptr<GanTrainer>> trainers_;
-  LtfbConfig config_;
-};
 
 }  // namespace ltfb::core

@@ -1,8 +1,7 @@
 #include "core/ltfb_comm.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -13,51 +12,8 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace ltfb::core {
-
-namespace {
-
-/// Rows [begin, end) of a batch.
-data::Batch slice_batch(const data::Batch& batch, std::size_t begin,
-                        std::size_t end) {
-  LTFB_CHECK(begin < end && end <= batch.size());
-  const std::size_t rows = end - begin;
-  data::Batch shard;
-  auto slice = [&](const tensor::Tensor& src, tensor::Tensor& dst) {
-    const std::size_t width = src.cols();
-    dst.resize({rows, width});
-    std::copy_n(src.raw() + begin * width, rows * width, dst.raw());
-  };
-  slice(batch.inputs, shard.inputs);
-  slice(batch.scalars, shard.scalars);
-  slice(batch.images, shard.images);
-  slice(batch.outputs, shard.outputs);
-  shard.ids.assign(batch.ids.begin() + static_cast<std::ptrdiff_t>(begin),
-                   batch.ids.begin() + static_cast<std::ptrdiff_t>(end));
-  return shard;
-}
-
-std::vector<float> snapshot(const gan::CycleGan& model, ExchangeScope scope) {
-  std::vector<float> flat = model.generator_weights();
-  if (scope == ExchangeScope::FullModel) {
-    const auto disc = model.discriminator_weights();
-    flat.insert(flat.end(), disc.begin(), disc.end());
-  }
-  return flat;
-}
-
-void restore(gan::CycleGan& model, std::span<const float> flat,
-             ExchangeScope scope) {
-  const std::size_t gen = model.generator_parameter_count();
-  model.load_generator_weights(flat.subspan(0, gen));
-  if (scope == ExchangeScope::FullModel) {
-    model.load_discriminator_weights(flat.subspan(gen));
-  }
-}
-
-}  // namespace
 
 DistributedLtfbOutcome run_distributed_ltfb(
     comm::Communicator& world, const data::Dataset& dataset,
@@ -69,6 +25,19 @@ DistributedLtfbOutcome run_distributed_ltfb(
                                << rpt);
   LTFB_CHECK_MSG(config.batch_size % static_cast<std::size_t>(rpt) == 0,
                  "batch size must divide evenly across a trainer's ranks");
+  // LtfbConfig fields only LocalLtfbDriver reads: fail rather than ignore.
+  LTFB_CHECK_MSG(config.ltfb.checkpoint_path.empty(),
+                 "run_distributed_ltfb ignores ltfb.checkpoint_path; set "
+                 "DistributedLtfbConfig::checkpoint_dir instead");
+  LTFB_CHECK_MSG(config.ltfb.checkpoint_every == 0,
+                 "run_distributed_ltfb ignores ltfb.checkpoint_every; set "
+                 "DistributedLtfbConfig::checkpoint_every instead");
+  LTFB_CHECK_MSG(config.ltfb.resume_from.empty(),
+                 "run_distributed_ltfb ignores ltfb.resume_from; set "
+                 "DistributedLtfbConfig::resume_from instead");
+  LTFB_CHECK_MSG(config.ltfb.lr_perturbation == 0.0f,
+                 "run_distributed_ltfb ignores ltfb.lr_perturbation; "
+                 "learning-rate inheritance runs in LocalLtfbDriver only");
   const int num_trainers = world.size() / rpt;
   const int trainer_id = world.rank() / rpt;
 
@@ -84,39 +53,17 @@ DistributedLtfbOutcome run_distributed_ltfb(
   comm::Communicator leader_comm = world.split(leader ? 0 : 1, trainer_id);
 
   // -- per-trainer state (identical across the trainer's ranks) -------------
-  const auto train_view = data::partition_indices(
-      splits.train, static_cast<std::size_t>(num_trainers),
-      static_cast<std::size_t>(trainer_id));
-  const auto tournament_view = data::partition_indices(
-      splits.tournament, static_cast<std::size_t>(num_trainers),
-      static_cast<std::size_t>(trainer_id));
-  LTFB_CHECK_MSG(!tournament_view.empty(),
-                 "trainer " << trainer_id << " has an empty tournament set");
-
-  gan::CycleGan model(config.model,
-                      util::derive_seed(config.seed, "model",
-                                        static_cast<std::uint64_t>(trainer_id)));
-
   // Every rank of a trainer draws the SAME global mini-batch (shared seed)
   // and trains on its own row shard — LBANN's data-parallel layout.
-  data::MiniBatchReader reader(
-      dataset, train_view, config.batch_size,
-      util::derive_seed(config.seed, "reader",
-                        static_cast<std::uint64_t>(trainer_id)),
-      /*drop_last=*/true);
+  const auto parts = static_cast<std::size_t>(num_trainers);
+  const auto part = static_cast<std::size_t>(trainer_id);
+  GanTrainer trainer(trainer_id, config.model, dataset,
+                     data::partition_indices(splits.train, parts, part),
+                     data::partition_indices(splits.tournament, parts, part),
+                     config.batch_size, config.seed);
   const std::size_t shard = config.batch_size / static_cast<std::size_t>(rpt);
-  const auto my_shard_begin =
-      static_cast<std::size_t>(trainer_comm.rank()) * shard;
-
-  auto local_score = [&]() {
-    const gan::EvalMetrics m =
-        evaluate_gan(model, dataset, tournament_view, config.batch_size);
-    double score = m.total();
-    if (config.ltfb.metric == TournamentMetric::ForwardInverseAdversarial) {
-      score += m.generator_adversarial;
-    }
-    return score;
-  };
+  trainer.set_row_shard(static_cast<std::size_t>(trainer_comm.rank()) * shard,
+                        shard);
 
   DistributedLtfbOutcome outcome;
   outcome.trainer_id = trainer_id;
@@ -138,14 +85,8 @@ DistributedLtfbOutcome run_distributed_ltfb(
   // uniform across ranks, so the gather stays collective; when inactive the
   // aggregator performs zero communication and fault-injection op counters
   // are unperturbed.
-  std::string timeseries_path = config.metrics_timeseries_path;
-  if (timeseries_path.empty()) {
-    if (const char* env = std::getenv("LTFB_METRICS_TIMESERIES")) {
-      timeseries_path = env;
-    }
-  }
   ClusterMetricsAggregator aggregator(
-      {.timeseries_path = std::move(timeseries_path),
+      {.timeseries_path = config.metrics_timeseries_path,
        .live_progress = config.live_progress,
        .gather_deadline = exchange_deadline,
        .world_size = world.size(),
@@ -158,27 +99,13 @@ DistributedLtfbOutcome run_distributed_ltfb(
   std::optional<nn::GradientBucketer> bucketer;
   if (rpt > 1) {
     bucketer.emplace(trainer_comm);
-    model.set_backward_hook(
+    trainer.set_backward_hook(
         [&bucketer](nn::Weights& w) { bucketer->on_layer_backward(w); });
-    model.set_gradient_sync(
+    trainer.set_gradient_sync(
         [&bucketer, exchange_deadline](const std::vector<nn::Model*>& ms) {
           bucketer->finish(ms, exchange_deadline);
         });
   }
-
-  std::uint64_t steps_taken = 0;
-  auto capture = [&]() {
-    GanTrainerState state;
-    state.trainer_id = trainer_id;
-    state.learning_rate = model.learning_rate();
-    state.steps = steps_taken;
-    state.reader_epoch = reader.epoch();
-    state.reader_cursor = reader.cursor();
-    state.generator = model.generator_weights();
-    state.discriminator = model.discriminator_weights();
-    state.optimizer_state = model.optimizer_state();
-    return state;
-  };
 
   // -- restore or warm up -----------------------------------------------------
   std::size_t start_round = 0;
@@ -196,30 +123,13 @@ DistributedLtfbOutcome run_distributed_ltfb(
     LTFB_CHECK_MSG(ckpt.pairing_seed == config.ltfb.pairing_seed,
                    "checkpoint pairing seed does not match configuration");
     const TrainerSlot& slot = ckpt.trainers.front();
-    const GanTrainerState& state = slot.trainer;
-    LTFB_CHECK_MSG(state.trainer_id == trainer_id,
-                   "slot checkpoint is for trainer " << state.trainer_id
-                                                     << ", this is trainer "
-                                                     << trainer_id);
-    model.load_generator_weights(state.generator);
-    model.load_discriminator_weights(state.discriminator);
-    model.load_optimizer_state(state.optimizer_state);
-    model.set_learning_rate(state.learning_rate);
-    reader.restore(static_cast<std::size_t>(state.reader_epoch),
-                   static_cast<std::size_t>(state.reader_cursor));
-    steps_taken = state.steps;
+    trainer.restore_state(slot.trainer);
     outcome.tournaments_won = static_cast<std::size_t>(slot.tournaments_won);
     outcome.adoptions = static_cast<std::size_t>(slot.adoptions);
     if (leader) outcome.history = ckpt.history;
     start_round = static_cast<std::size_t>(ckpt.round);
   } else {
-    // -- autoencoder warm-up --------------------------------------------------
-    for (std::size_t s = 0; s < config.ltfb.pretrain_steps; ++s) {
-      const data::Batch batch = reader.next();
-      const data::Batch mine =
-          slice_batch(batch, my_shard_begin, my_shard_begin + shard);
-      model.pretrain_autoencoder_step(mine);
-    }
+    trainer.pretrain_autoencoder(config.ltfb.pretrain_steps);
   }
 
   // -- LTFB rounds -------------------------------------------------------------
@@ -228,30 +138,17 @@ DistributedLtfbOutcome run_distributed_ltfb(
     telemetry::flight::heartbeat();
     LTFB_COUNTER_ADD("ltfb/rounds", 1);
     const telemetry::Stopwatch round_clock;
-    try {
-      LTFB_SPAN("ltfb/train_phase");
-      for (std::size_t s = 0; s < config.ltfb.steps_per_round; ++s) {
-        LTFB_TIMED_SCOPE("trainer/step");
-        const data::Batch batch = reader.next();
-        const data::Batch mine =
-            slice_batch(batch, my_shard_begin, my_shard_begin + shard);
-        model.train_step(mine);
-        ++steps_taken;
-      }
-    } catch (const RankFailedError&) {
+    const bool trained = survives_peer_faults(
+        [&] {
+          LTFB_SPAN("ltfb/train_phase");
+          trainer.train_steps(config.ltfb.steps_per_round);
+        },
+        fault_aware);
+    if (!trained) {
       // A rank of THIS trainer died mid-step (gradient all-reduce hit the
-      // corpse). The trainer cannot continue data-parallel training; its
-      // survivors leave the population and the other trainers route around
-      // them. Legacy mode keeps fail-stop semantics and propagates.
-      if (!fault_aware) throw;
-      LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-      outcome.aborted = true;
-      return outcome;
-    } catch (const TimeoutError&) {
-      // Bucket all-reduce traffic lost (fault-injection drop schedules):
-      // the deadline fired instead of a failure notification. Same exit.
-      if (!fault_aware) throw;
-      LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
+      // corpse) or its bucket traffic was lost past the deadline. The
+      // trainer cannot continue data-parallel training; its survivors leave
+      // the population and the other trainers route around them.
       outcome.aborted = true;
       return outcome;
     }
@@ -261,73 +158,24 @@ DistributedLtfbOutcome run_distributed_ltfb(
     if (leader) {
       LTFB_SPAN("ltfb/tournament");
       // Pair only LIVE trainers: the leader communicator (post-shrink) is
-      // the authoritative membership list, ordered by trainer id. With no
-      // failures this reduces exactly to the legacy all-trainer pairing.
-      std::vector<std::pair<int, int>> live;  // (trainer_id, leader_comm rank)
+      // the authoritative membership list. With no failures this reduces
+      // exactly to the legacy all-trainer pairing.
+      std::map<int, int> live;  // trainer id -> leader_comm rank
       for (int r = 0; r < leader_comm.size(); ++r) {
-        live.emplace_back(leader_comm.world_rank_of(r) / rpt, r);
+        live[leader_comm.world_rank_of(r) / rpt] = r;
       }
-      std::sort(live.begin(), live.end());
-      std::size_t my_pos = live.size();
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i].first == trainer_id) my_pos = i;
-      }
-      LTFB_CHECK_MSG(my_pos < live.size(),
-                     "leader not present in its own leader communicator");
-
-      const auto pairs = tournament_pairs(live.size(),
-                                          config.ltfb.pairing_seed, round);
-      std::size_t partner_pos = live.size();
-      for (const auto& [a, b] : pairs) {
-        if (static_cast<std::size_t>(a) == my_pos) {
-          partner_pos = static_cast<std::size_t>(b);
-        }
-        if (static_cast<std::size_t>(b) == my_pos) {
-          partner_pos = static_cast<std::size_t>(a);
-        }
-      }
-
-      if (partner_pos < live.size()) {
-        stat.partner_id = live[partner_pos].first;
-        const std::vector<float> own = snapshot(model, config.ltfb.scope);
-        try {
-          comm::Buffer received;
-          {
-            LTFB_SPAN("ltfb/exchange");
-            received = leader_comm.sendrecv(live[partner_pos].second,
-                                            static_cast<int>(round),
-                                            comm::Serializer::pack_floats(own),
-                                            exchange_deadline);
-          }
-          const std::vector<float> candidate =
-              comm::Deserializer::unpack_floats(received);
-
-          stat.own_score = local_score();
-          restore(model, candidate, config.ltfb.scope);
-          stat.partner_score = local_score();
-          if (stat.partner_score < stat.own_score) {
-            stat.adopted_partner = true;
-            ++outcome.adoptions;
-            LTFB_COUNTER_ADD("ltfb/adoptions", 1);
-          } else {
-            restore(model, own, config.ltfb.scope);
-            ++outcome.tournaments_won;
-          }
-        } catch (const RankFailedError&) {
-          if (!fault_aware) throw;
-          // Partner's leader is dead or departed: the survivor keeps its
-          // own model (untouched — the exchange failed before any restore)
-          // and the round counts as degraded.
-          stat.partner_failed = true;
+      stat.partner_id =
+          tournament_partner(live, trainer_id, config.ltfb.pairing_seed, round);
+      if (stat.partner_id >= 0) {
+        tournament_exchange(leader_comm, live.at(stat.partner_id),
+                            static_cast<int>(round), trainer, config.ltfb,
+                            exchange_deadline, fault_aware, stat);
+        if (stat.partner_failed) {
           ++outcome.partner_failures;
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-          LTFB_COUNTER_ADD("ltfb/rounds_degraded", 1);
-        } catch (const TimeoutError&) {
-          if (!fault_aware) throw;
-          stat.partner_failed = true;
-          ++outcome.partner_failures;
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-          LTFB_COUNTER_ADD("ltfb/rounds_degraded", 1);
+        } else if (stat.adopted_partner) {
+          ++outcome.adoptions;
+        } else {
+          ++outcome.tournaments_won;
         }
       }
 
@@ -362,15 +210,15 @@ DistributedLtfbOutcome run_distributed_ltfb(
     if (rpt > 1) {
       try {
         LTFB_SPAN("ltfb/broadcast_winner");
-        std::vector<float> current =
-            leader ? snapshot(model, config.ltfb.scope) : std::vector<float>();
         comm::Buffer payload =
-            leader ? comm::Serializer::pack_floats(current) : comm::Buffer{};
+            leader ? comm::Serializer::pack_floats(exchange_weights(
+                         trainer.model(), config.ltfb.scope))
+                   : comm::Buffer{};
         trainer_comm.broadcast(0, payload);
         if (!leader) {
-          const std::vector<float> weights =
-              comm::Deserializer::unpack_floats(payload);
-          restore(model, weights, config.ltfb.scope);
+          load_exchange_weights(trainer.model(),
+                                comm::Deserializer::unpack_floats(payload),
+                                config.ltfb.scope);
         }
       } catch (const RankFailedError&) {
         if (!fault_aware) throw;
@@ -390,7 +238,7 @@ DistributedLtfbOutcome run_distributed_ltfb(
       ckpt.round = round + 1;
       ckpt.pairing_seed = config.ltfb.pairing_seed;
       TrainerSlot slot;
-      slot.trainer = capture();
+      slot.trainer = trainer.capture_state();
       slot.tournaments_won = outcome.tournaments_won;
       slot.adoptions = outcome.adoptions;
       ckpt.trainers.push_back(std::move(slot));
@@ -406,9 +254,11 @@ DistributedLtfbOutcome run_distributed_ltfb(
   // -- final evaluation ---------------------------------------------------------
   float results[4] = {0.0f, 0.0f, 0.0f, 0.0f};
   if (leader) {
-    outcome.final_tournament_score = local_score();
+    outcome.final_tournament_score =
+        trainer.tournament_score(config.ltfb.metric);
     outcome.final_validation_loss =
-        evaluate_gan(model, dataset, splits.validation, config.batch_size)
+        evaluate_gan(trainer.model(), dataset, splits.validation,
+                     config.batch_size)
             .total();
     results[0] = static_cast<float>(outcome.final_tournament_score);
     results[1] = static_cast<float>(outcome.final_validation_loss);

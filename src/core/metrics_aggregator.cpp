@@ -1,6 +1,7 @@
 #include "core/metrics_aggregator.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -241,6 +242,11 @@ double step_gap_s(const std::vector<RankDelta>& deltas) {
 
 ClusterMetricsAggregator::ClusterMetricsAggregator(Options options)
     : options_(std::move(options)) {
+  if (options_.timeseries_path.empty()) {
+    if (const char* env = std::getenv("LTFB_METRICS_TIMESERIES")) {
+      options_.timeseries_path = env;
+    }
+  }
   active_ = telemetry::enabled() &&
             (!options_.timeseries_path.empty() || options_.live_progress);
   if (!active_) return;

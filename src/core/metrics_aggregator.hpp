@@ -39,7 +39,9 @@ class ClusterMetricsAggregator {
  public:
   struct Options {
     /// JSONL output path, appended one object per round by the root
-    /// leader. Empty disables the artifact.
+    /// leader. Empty falls back to the LTFB_METRICS_TIMESERIES environment
+    /// variable (so unmodified binaries can produce the artifact); empty
+    /// there too disables it.
     std::string timeseries_path;
     /// Emit a one-line per-round cluster summary through the Logger
     /// (component "ltfb") from the root leader.

@@ -10,7 +10,6 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace ltfb::core {
 
@@ -511,37 +510,14 @@ void SchedulerClient::ack(const SchedulerEnvelope& envelope,
 namespace {
 
 /// One rank's live trainer (single-rank trainers: the whole model and the
-/// whole mini-batch live here).
+/// whole mini-batch live here) plus the elastic bookkeeping that travels
+/// with it on migration.
 struct HostedTrainer {
-  int id = -1;
+  std::unique_ptr<GanTrainer> trainer;
   std::uint64_t joined_round = 0;
-  std::uint64_t steps = 0;
   std::uint64_t tournaments_won = 0;
   std::uint64_t adoptions = 0;
-  std::vector<std::size_t> train_view;
-  std::vector<std::size_t> tournament_view;
-  std::optional<gan::CycleGan> model;
-  std::optional<data::MiniBatchReader> reader;
 };
-
-std::vector<float> snapshot_weights(const gan::CycleGan& model,
-                                    ExchangeScope scope) {
-  std::vector<float> flat = model.generator_weights();
-  if (scope == ExchangeScope::FullModel) {
-    const auto disc = model.discriminator_weights();
-    flat.insert(flat.end(), disc.begin(), disc.end());
-  }
-  return flat;
-}
-
-void restore_weights(gan::CycleGan& model, std::span<const float> flat,
-                     ExchangeScope scope) {
-  const std::size_t gen = model.generator_parameter_count();
-  model.load_generator_weights(flat.subspan(0, gen));
-  if (scope == ExchangeScope::FullModel) {
-    model.load_discriminator_weights(flat.subspan(gen));
-  }
-}
 
 comm::Buffer encode_round_stat(const TrainerRoundStat& stat) {
   comm::Serializer s;
@@ -607,6 +583,18 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
                               : std::max(initial, world.size());
   LTFB_CHECK_MSG(initial <= max_trainers,
                  "initial trainers exceed the max_trainers partition");
+  // LtfbConfig fields only LocalLtfbDriver reads: fail rather than ignore.
+  LTFB_CHECK_MSG(config.ltfb.checkpoint_path.empty() &&
+                     config.ltfb.checkpoint_every == 0,
+                 "run_elastic_ltfb ignores ltfb.checkpoint_path and "
+                 "ltfb.checkpoint_every; an elastic run does not checkpoint "
+                 "(trainer state moves in migration payloads)");
+  LTFB_CHECK_MSG(config.ltfb.resume_from.empty(),
+                 "run_elastic_ltfb ignores ltfb.resume_from; an elastic run "
+                 "always starts fresh");
+  LTFB_CHECK_MSG(config.ltfb.lr_perturbation == 0.0f,
+                 "run_elastic_ltfb ignores ltfb.lr_perturbation; "
+                 "learning-rate inheritance runs in LocalLtfbDriver only");
 
   telemetry::bind_rank(world.rank() < telemetry::detail::kMaxRankScopes
                            ? world.rank()
@@ -632,14 +620,8 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
   // degenerates to leaders-only, with every world rank a leader.
   comm::Communicator self_comm = world.split(world.rank(), 0);
 
-  std::string timeseries_path = config.metrics_timeseries_path;
-  if (timeseries_path.empty()) {
-    if (const char* env = std::getenv("LTFB_METRICS_TIMESERIES")) {
-      timeseries_path = env;
-    }
-  }
   ClusterMetricsAggregator aggregator(
-      {.timeseries_path = std::move(timeseries_path),
+      {.timeseries_path = config.metrics_timeseries_path,
        .live_progress = config.live_progress,
        .gather_deadline = exchange_deadline,
        .world_size = world.size(),
@@ -651,35 +633,31 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
 
   // -- trainer lifecycle helpers ---------------------------------------------
 
+  // A trainer's shard is churn-invariant (fixed max_trainers denominator).
+  auto shard_of = [&](const std::vector<std::size_t>& split, int id) {
+    return data::partition_indices(split,
+                                   static_cast<std::size_t>(max_trainers),
+                                   static_cast<std::size_t>(id));
+  };
+
   auto make_hosted = [&](int id, std::uint64_t joined_round,
                          bool fresh) -> HostedTrainer {
-    HostedTrainer h;
-    h.id = id;
-    h.joined_round = joined_round;
-    h.train_view = data::partition_indices(
-        splits.train, static_cast<std::size_t>(max_trainers),
-        static_cast<std::size_t>(id));
-    h.tournament_view = data::partition_indices(
-        splits.tournament, static_cast<std::size_t>(max_trainers),
-        static_cast<std::size_t>(id));
-    LTFB_CHECK_MSG(!h.train_view.empty() && !h.tournament_view.empty(),
+    std::vector<std::size_t> train_view = shard_of(splits.train, id);
+    std::vector<std::size_t> tournament_view = shard_of(splits.tournament, id);
+    LTFB_CHECK_MSG(!train_view.empty() && !tournament_view.empty(),
                    "trainer " << id << " has an empty data partition (shrink "
                               << "max_trainers or grow the dataset)");
-    h.model.emplace(config.model,
-                    util::derive_seed(config.seed, "model",
-                                      static_cast<std::uint64_t>(id)));
-    h.reader.emplace(dataset, h.train_view, config.batch_size,
-                     util::derive_seed(config.seed, "reader",
-                                       static_cast<std::uint64_t>(id)),
-                     /*drop_last=*/true);
+    HostedTrainer h;
+    h.joined_round = joined_round;
+    h.trainer = std::make_unique<GanTrainer>(
+        id, config.model, dataset, std::move(train_view),
+        std::move(tournament_view), config.batch_size, config.seed);
     if (fresh) {
       // Deterministic warm-up: a trainer joining at round N runs the same
       // pretraining a round-0 trainer does, so its trajectory is a pure
       // function of (id, seed, steps) regardless of when or where it
       // starts.
-      for (std::size_t s = 0; s < config.ltfb.pretrain_steps; ++s) {
-        h.model->pretrain_autoencoder_step(h.reader->next());
-      }
+      h.trainer->pretrain_autoencoder(config.ltfb.pretrain_steps);
     }
     return h;
   };
@@ -690,62 +668,40 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
     ckpt.round = round;
     ckpt.pairing_seed = config.ltfb.pairing_seed;
     TrainerSlot slot;
-    slot.trainer.trainer_id = h.id;
-    slot.trainer.learning_rate = h.model->learning_rate();
-    slot.trainer.steps = h.steps;
-    slot.trainer.reader_epoch = h.reader->epoch();
-    slot.trainer.reader_cursor = h.reader->cursor();
-    slot.trainer.generator = h.model->generator_weights();
-    slot.trainer.discriminator = h.model->discriminator_weights();
-    slot.trainer.optimizer_state = h.model->optimizer_state();
+    slot.trainer = h.trainer->capture_state();
     slot.tournaments_won = h.tournaments_won;
     slot.adoptions = h.adoptions;
     slot.host_rank = dst_rank;
     slot.joined_round = h.joined_round;
-    slot.shard_manifest.assign(h.train_view.begin(), h.train_view.end());
+    const std::vector<std::size_t> shard =
+        shard_of(splits.train, h.trainer->id());
+    slot.shard_manifest.assign(shard.begin(), shard.end());
     ckpt.trainers.push_back(std::move(slot));
     return ckpt;
   };
 
   auto restore_hosted = [&](const TrainerSlot& slot) -> HostedTrainer {
-    HostedTrainer h =
-        make_hosted(slot.trainer.trainer_id, slot.joined_round,
-                    /*fresh=*/false);
-    // The shard is churn-invariant (fixed max_trainers denominator); the
-    // manifest in the payload must therefore reproduce exactly what this
+    const int id = slot.trainer.trainer_id;
+    // The manifest in the payload must reproduce exactly the shard this
     // rank derives locally — a mismatch means the two ends disagree about
     // the partition geometry and the trainer would silently train on the
     // wrong data.
+    const std::vector<std::size_t> shard = shard_of(splits.train, id);
     LTFB_CHECK_MSG(
-        slot.shard_manifest.size() == h.train_view.size() &&
+        slot.shard_manifest.size() == shard.size() &&
             std::equal(slot.shard_manifest.begin(), slot.shard_manifest.end(),
-                       h.train_view.begin(),
+                       shard.begin(),
                        [](std::uint64_t a, std::size_t b) {
                          return a == static_cast<std::uint64_t>(b);
                        }),
         "migrated shard manifest does not match the churn-invariant "
         "partition of trainer "
-            << slot.trainer.trainer_id);
-    h.model->load_generator_weights(slot.trainer.generator);
-    h.model->load_discriminator_weights(slot.trainer.discriminator);
-    h.model->load_optimizer_state(slot.trainer.optimizer_state);
-    h.model->set_learning_rate(slot.trainer.learning_rate);
-    h.reader->restore(static_cast<std::size_t>(slot.trainer.reader_epoch),
-                      static_cast<std::size_t>(slot.trainer.reader_cursor));
-    h.steps = slot.trainer.steps;
+            << id);
+    HostedTrainer h = make_hosted(id, slot.joined_round, /*fresh=*/false);
+    h.trainer->restore_state(slot.trainer);
     h.tournaments_won = slot.tournaments_won;
     h.adoptions = slot.adoptions;
     return h;
-  };
-
-  auto local_score = [&](HostedTrainer& h) {
-    const gan::EvalMetrics m =
-        evaluate_gan(*h.model, dataset, h.tournament_view, config.batch_size);
-    double score = m.total();
-    if (config.ltfb.metric == TournamentMetric::ForwardInverseAdversarial) {
-      score += m.generator_adversarial;
-    }
-    return score;
   };
 
   // -- initial population ------------------------------------------------------
@@ -797,7 +753,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
             if (cmd.dst_rank == world.rank()) {
               LTFB_CHECK_MSG(!hosted, "rank " << world.rank()
                                               << " already hosts trainer "
-                                              << hosted->id);
+                                              << hosted->trainer->id());
               hosted = make_hosted(cmd.trainer_id, env.round, /*fresh=*/true);
               LTFB_COUNTER_ADD("sched/trainers_started", 1);
             }
@@ -805,17 +761,17 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
           case SchedulerCommandKind::StopTrainer:
           case SchedulerCommandKind::Shrink:
             if (cmd.src_rank == world.rank()) {
-              LTFB_CHECK_MSG(hosted && hosted->id == cmd.trainer_id,
-                             "stop for trainer " << cmd.trainer_id
-                                                 << " but rank hosts "
-                                                 << (hosted ? hosted->id : -1));
+              LTFB_CHECK_MSG(hosted && hosted->trainer->id() == cmd.trainer_id,
+                             "stop for trainer "
+                                 << cmd.trainer_id << " but rank hosts "
+                                 << (hosted ? hosted->trainer->id() : -1));
               hosted.reset();
               LTFB_COUNTER_ADD("sched/trainers_stopped", 1);
             }
             break;
           case SchedulerCommandKind::MigrateTrainer: {
             if (cmd.src_rank == world.rank()) {
-              LTFB_CHECK_MSG(hosted && hosted->id == cmd.trainer_id,
+              LTFB_CHECK_MSG(hosted && hosted->trainer->id() == cmd.trainer_id,
                              "migrate source mismatch for trainer "
                                  << cmd.trainer_id);
               const PopulationCheckpoint ckpt =
@@ -828,7 +784,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
             }
             if (cmd.dst_rank == world.rank()) {
               LTFB_CHECK_MSG(!hosted, "migrate destination already hosts "
-                                          << (hosted ? hosted->id : -1));
+                                          << hosted->trainer->id());
               const int xfer_tag = sched_xfer_tag(env.round);
               const comm::Buffer payload =
                   world.recv(cmd.src_rank, xfer_tag, exchange_deadline);
@@ -881,16 +837,9 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
       sched->issue_boundary(plan, apply_envelope);
     } else {
       SchedulerEnvelope env;
-      try {
-        env = client.await_boundary(round);
-      } catch (const RankFailedError&) {
+      if (!survives_peer_faults([&] { env = client.await_boundary(round); })) {
         // The scheduler is gone; without boundaries this rank cannot keep
         // a consistent roster. Leave the population cleanly.
-        LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-        outcome.aborted = true;
-        return outcome;
-      } catch (const TimeoutError&) {
-        LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
         outcome.aborted = true;
         return outcome;
       }
@@ -903,11 +852,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
     // so a training step can never lose a peer).
     if (hosted) {
       LTFB_SPAN("ltfb/train_phase");
-      for (std::size_t s = 0; s < config.ltfb.steps_per_round; ++s) {
-        LTFB_TIMED_SCOPE("trainer/step");
-        hosted->model->train_step(hosted->reader->next());
-        ++hosted->steps;
-      }
+      hosted->trainer->train_steps(config.ltfb.steps_per_round);
     }
 
     // Tournament among the active trainers: deterministic re-pairing over
@@ -917,63 +862,20 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
     bool have_stat = false;
     if (hosted) {
       LTFB_SPAN("ltfb/tournament");
-      stat.trainer_id = hosted->id;
+      GanTrainer& trainer = *hosted->trainer;
+      stat.trainer_id = trainer.id();
       have_stat = true;
-      std::vector<int> active;
-      for (const auto& [trainer, host] : roster) active.push_back(trainer);
-      std::size_t my_pos = active.size();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (active[i] == hosted->id) my_pos = i;
-      }
-      LTFB_CHECK_MSG(my_pos < active.size(),
-                     "hosted trainer " << hosted->id << " missing from the "
-                                       << "roster this rank just applied");
-      const auto pairs =
-          tournament_pairs(active.size(), config.ltfb.pairing_seed, round);
-      std::size_t partner_pos = active.size();
-      for (const auto& [a, b] : pairs) {
-        if (static_cast<std::size_t>(a) == my_pos) {
-          partner_pos = static_cast<std::size_t>(b);
-        }
-        if (static_cast<std::size_t>(b) == my_pos) {
-          partner_pos = static_cast<std::size_t>(a);
-        }
-      }
-      if (partner_pos < active.size()) {
-        stat.partner_id = active[partner_pos];
-        const int partner_host = roster.at(active[partner_pos]);
-        const std::vector<float> own =
-            snapshot_weights(*hosted->model, config.ltfb.scope);
-        try {
-          comm::Buffer received;
-          {
-            LTFB_SPAN("ltfb/exchange");
-            const int round_tag = static_cast<int>(round);
-            received = world.sendrecv(partner_host, round_tag,
-                                      comm::Serializer::pack_floats(own),
-                                      exchange_deadline);
-          }
-          const std::vector<float> candidate =
-              comm::Deserializer::unpack_floats(received);
-          stat.own_score = local_score(*hosted);
-          restore_weights(*hosted->model, candidate, config.ltfb.scope);
-          stat.partner_score = local_score(*hosted);
-          if (stat.partner_score < stat.own_score) {
-            stat.adopted_partner = true;
-            ++hosted->adoptions;
-            LTFB_COUNTER_ADD("ltfb/adoptions", 1);
-          } else {
-            restore_weights(*hosted->model, own, config.ltfb.scope);
-            ++hosted->tournaments_won;
-          }
-        } catch (const RankFailedError&) {
-          stat.partner_failed = true;
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-          LTFB_COUNTER_ADD("ltfb/rounds_degraded", 1);
-        } catch (const TimeoutError&) {
-          stat.partner_failed = true;
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-          LTFB_COUNTER_ADD("ltfb/rounds_degraded", 1);
+      stat.partner_id = tournament_partner(
+          roster, trainer.id(), config.ltfb.pairing_seed,
+          static_cast<std::size_t>(round));
+      if (stat.partner_id >= 0) {
+        tournament_exchange(world, roster.at(stat.partner_id),
+                            static_cast<int>(round), trainer, config.ltfb,
+                            exchange_deadline, /*fault_aware=*/true, stat);
+        if (stat.adopted_partner) {
+          ++hosted->adoptions;
+        } else if (!stat.partner_failed) {
+          ++hosted->tournaments_won;
         }
       }
     }
@@ -991,17 +893,12 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
           }
           continue;
         }
-        try {
-          const int stat_tag = sched_stat_tag(round);
-          const comm::Buffer payload =
-              world.recv(host, stat_tag, exchange_deadline);
-          round_stats.push_back(decode_round_stat(payload));
-        } catch (const RankFailedError&) {
+        const int stat_tag = sched_stat_tag(round);
+        if (!survives_peer_faults([&] {
+              round_stats.push_back(decode_round_stat(
+                  world.recv(host, stat_tag, exchange_deadline)));
+            })) {
           sched->note_lost_trainer(trainer);
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-        } catch (const TimeoutError&) {
-          sched->note_lost_trainer(trainer);
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
         }
       }
     } else if (have_stat) {
@@ -1030,38 +927,35 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
   // -- final results -----------------------------------------------------------
   ElasticTrainerResult own_result;
   if (hosted) {
-    own_result.trainer_id = hosted->id;
+    GanTrainer& trainer = *hosted->trainer;
+    own_result.trainer_id = trainer.id();
     own_result.host_rank = world.rank();
-    own_result.steps = hosted->steps;
+    own_result.steps = trainer.steps_taken();
     own_result.tournaments_won = hosted->tournaments_won;
     own_result.adoptions = hosted->adoptions;
-    own_result.final_tournament_score = local_score(*hosted);
+    own_result.final_tournament_score =
+        trainer.tournament_score(config.ltfb.metric);
     own_result.final_validation_loss =
-        evaluate_gan(*hosted->model, dataset, splits.validation,
+        evaluate_gan(trainer.model(), dataset, splits.validation,
                      config.batch_size)
             .total();
     outcome.hosting_final = true;
-    outcome.final_trainer_id = hosted->id;
+    outcome.final_trainer_id = trainer.id();
   }
   if (sched) {
     for (const auto& [trainer, host] : roster) {
       if (sched->trainer_pending_lost(trainer)) continue;
       if (host == world.rank()) {
-        if (hosted && hosted->id == trainer) {
+        if (hosted && hosted->trainer->id() == trainer) {
           outcome.results.push_back(own_result);
         }
         continue;
       }
-      try {
-        const int result_tag = sched_stat_tag(config.ltfb.rounds);
-        const comm::Buffer payload =
-            world.recv(host, result_tag, exchange_deadline);
-        outcome.results.push_back(decode_trainer_result(payload));
-      } catch (const RankFailedError&) {
-        LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-      } catch (const TimeoutError&) {
-        LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-      }
+      const int result_tag = sched_stat_tag(config.ltfb.rounds);
+      survives_peer_faults([&] {
+        outcome.results.push_back(decode_trainer_result(
+            world.recv(host, result_tag, exchange_deadline)));
+      });
     }
     outcome.joins = sched->joins();
     outcome.leaves = sched->leaves();

@@ -1,12 +1,14 @@
-// Tests for the LTFB core: tournament pairing, the lockstep driver's
-// adoption semantics, the K-independent baseline, and the paper's headline
-// algorithmic property (LTFB >= K-independent at equal budgets).
+// Tests for the LTFB core: tournament pairing, the shared duel, the
+// lockstep driver's adoption semantics, the K-independent baseline, and the
+// paper's headline algorithmic property (LTFB >= K-independent at equal
+// budgets).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -104,7 +106,7 @@ TEST(Population, BuildsDisjointPartitions) {
 
 // ---- GanTrainer -----------------------------------------------------------------
 
-TEST(GanTrainer, ScoreCandidateRestoresOwnModel) {
+TEST(TournamentDuel, LosingPartnerLeavesOwnModelLoaded) {
   const data::Dataset dataset = tiny_dataset(200, 23);
   const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 24);
   PopulationConfig config;
@@ -113,13 +115,47 @@ TEST(GanTrainer, ScoreCandidateRestoresOwnModel) {
   config.model = tiny_config();
   config.seed = 25;
   auto trainers = build_population(dataset, splits, config);
+  GanTrainer& local = *trainers[0];
+  const std::vector<float> own = local.model().generator_weights();
+  // A candidate no finite model can lose to: every weight NaN.
+  const std::vector<float> candidate(
+      own.size(), std::numeric_limits<float>::quiet_NaN());
 
-  const std::vector<float> own = trainers[0]->model().generator_weights();
-  const std::vector<float> other = trainers[1]->model().generator_weights();
-  const double candidate_score =
-      trainers[0]->score_candidate_generator(other);
-  EXPECT_TRUE(std::isfinite(candidate_score));
-  EXPECT_EQ(trainers[0]->model().generator_weights(), own);
+  TrainerRoundStat stat;
+  EXPECT_FALSE(gan_duel(local, LtfbConfig{}, own, candidate, stat));
+  EXPECT_TRUE(std::isfinite(stat.own_score));
+  EXPECT_TRUE(std::isnan(stat.partner_score));
+  EXPECT_EQ(local.model().generator_weights(), own);
+}
+
+TEST(TournamentDuel, AdoptsOnlyFiniteStrictlyBetterScores) {
+  // Scripted scores: the first call scores the own model, the second the
+  // received one; the load callable records which weights end up loaded.
+  auto run = [](double own_score, double partner_score) {
+    const std::vector<float> own{1.0f};
+    const std::vector<float> received{2.0f};
+    std::vector<double> scores{own_score, partner_score};
+    std::size_t next = 0;
+    float loaded = own.front();
+    TrainerRoundStat stat;
+    const bool adopted = duel(
+        [&] { return scores[next++]; },
+        [&](std::span<const float> w) { loaded = w.front(); }, own, received,
+        stat);
+    EXPECT_EQ(adopted, stat.adopted_partner);
+    EXPECT_EQ(loaded, adopted ? received.front() : own.front());
+    return adopted;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(run(2.0, 1.0));
+  EXPECT_FALSE(run(1.0, 2.0));
+  EXPECT_FALSE(run(1.0, 1.0));  // ties keep the own model
+  EXPECT_TRUE(run(nan, 1.0));   // a non-finite own score always loses
+  EXPECT_TRUE(run(inf, 1.0));
+  EXPECT_FALSE(run(1.0, nan));  // a non-finite partner never wins
+  EXPECT_FALSE(run(1.0, -inf));
+  EXPECT_FALSE(run(nan, nan));
 }
 
 TEST(GanTrainer, TrainStepsAdvanceCounter) {
@@ -277,11 +313,56 @@ TEST(LocalDriver, BestTrainerIndexValid) {
   EXPECT_LT(best, 3u);
 }
 
+TEST(LocalDriver, NonFiniteModelIsNeverAdoptedAndIsReplaced) {
+  DriverFixture fx;
+  LtfbConfig ltfb;
+  ltfb.steps_per_round = 0;  // tournaments only: keep the poison in place
+  ltfb.rounds = 3;
+  LocalLtfbDriver driver = fx.make_driver(4, ltfb);
+  const int poisoned = 2;
+  GanTrainer& victim = driver.trainer(poisoned);
+  victim.model().load_generator_weights(
+      std::vector<float>(victim.model().generator_parameter_count(),
+                         std::numeric_limits<float>::quiet_NaN()));
+  driver.run();
+
+  bool replaced = false;
+  for (const RoundRecord& record : driver.history()) {
+    for (const TrainerRoundStat& stat : record.stats) {
+      if (stat.adopted_partner) {
+        EXPECT_TRUE(std::isfinite(stat.partner_score))
+            << "trainer " << stat.trainer_id << " adopted a non-finite model";
+      }
+      if (stat.trainer_id == poisoned && stat.partner_id >= 0 && !replaced) {
+        EXPECT_TRUE(std::isnan(stat.own_score));
+        EXPECT_TRUE(stat.adopted_partner);
+        replaced = true;
+      }
+    }
+  }
+  EXPECT_TRUE(replaced);
+  for (std::size_t t = 0; t < driver.population(); ++t) {
+    for (const float w : driver.trainer(t).model().generator_weights()) {
+      ASSERT_TRUE(std::isfinite(w)) << "trainer " << t;
+    }
+  }
+}
+
 TEST(LocalDriver, EmptyPopulationThrows) {
   EXPECT_THROW(LocalLtfbDriver({}, LtfbConfig{}), InvalidArgument);
 }
 
 // ---- K-independent baseline -----------------------------------------------------------
+
+/// The Sec. IV-E baseline needs no driver: each trainer pretrains, then
+/// takes every step of the LTFB budget on its own shard.
+void train_independently(std::vector<std::unique_ptr<GanTrainer>>& trainers,
+                         const LtfbConfig& ltfb) {
+  for (auto& trainer : trainers) {
+    trainer->pretrain_autoencoder(ltfb.pretrain_steps);
+    trainer->train_steps(ltfb.rounds * ltfb.steps_per_round);
+  }
+}
 
 TEST(KIndependent, RunsWithoutExchange) {
   DriverFixture fx;
@@ -293,14 +374,13 @@ TEST(KIndependent, RunsWithoutExchange) {
   config.batch_size = 16;
   config.model = tiny_config();
   config.seed = 40;
-  KIndependentDriver driver(build_population(fx.dataset, fx.splits, config),
-                            ltfb);
-  driver.run();
-  EXPECT_EQ(driver.trainer(0).steps_taken(), 4u);
+  auto trainers = build_population(fx.dataset, fx.splits, config);
+  train_independently(trainers, ltfb);
+  EXPECT_EQ(trainers[0]->steps_taken(), 4u);
   // No exchange ever happens: generators stay distinct.
-  EXPECT_NE(driver.trainer(0).model().generator_weights(),
-            driver.trainer(1).model().generator_weights());
-  const std::size_t best = driver.best_trainer(fx.splits.validation, 16);
+  EXPECT_NE(trainers[0]->model().generator_weights(),
+            trainers[1]->model().generator_weights());
+  const std::size_t best = best_trainer(trainers, fx.splits.validation, 16);
   EXPECT_LT(best, 2u);
 }
 
@@ -335,15 +415,13 @@ TEST(LtfbVsKIndependent, LtfbAtLeastAsGoodAtEqualBudget) {
                    splits.validation, 16)
           .total();
 
-  KIndependentDriver kind_driver(build_population(dataset, splits, config),
-                                 ltfb);
-  kind_driver.run();
+  auto independent = build_population(dataset, splits, config);
+  train_independently(independent, ltfb);
   const std::size_t kind_best =
-      kind_driver.best_trainer(splits.validation, 16);
-  const double kind_loss =
-      evaluate_gan(kind_driver.trainer(kind_best).model(), dataset,
-                   splits.validation, 16)
-          .total();
+      best_trainer(independent, splits.validation, 16);
+  const double kind_loss = evaluate_gan(independent[kind_best]->model(),
+                                        dataset, splits.validation, 16)
+                               .total();
 
   EXPECT_LT(ltfb_loss, kind_loss * 1.10);
 }

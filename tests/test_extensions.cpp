@@ -6,6 +6,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -220,6 +221,31 @@ TEST(ClassicLtfb, FullModelExchangeSemantics) {
   // end up with that winner's weights.
   EXPECT_EQ(driver.trainer(0).model().flatten_weights(),
             driver.trainer(1).model().flatten_weights());
+}
+
+TEST(ClassicLtfb, NonFiniteModelIsNeverAdoptedAndIsReplaced) {
+  ClassicFixture fx;
+  std::vector<std::unique_ptr<ClassicTrainer>> trainers;
+  for (std::size_t i = 0; i < 2; ++i) {
+    trainers.push_back(std::make_unique<ClassicTrainer>(
+        static_cast<int>(i), fx.model_config(), &fx.train, &fx.holdout, 16,
+        610 + i));
+  }
+  // Trainer 0 diverged: every weight NaN, so its hold-out loss is NaN.
+  nn::Model& victim = trainers[0]->model();
+  victim.load_flat_weights(
+      std::vector<float>(victim.flatten_weights().size(),
+                         std::numeric_limits<float>::quiet_NaN()));
+  const std::vector<float> healthy = trainers[1]->model().flatten_weights();
+  ClassicLtfbConfig config;
+  config.steps_per_round = 0;  // tournaments only
+  config.rounds = 2;
+  ClassicLtfbDriver driver(std::move(trainers), config);
+  driver.run();
+  // The healthy trainer never adopts the poisoned model, and the poisoned
+  // one is replaced by its finite partner.
+  EXPECT_EQ(driver.trainer(1).model().flatten_weights(), healthy);
+  EXPECT_EQ(driver.trainer(0).model().flatten_weights(), healthy);
 }
 
 // ---- checkpointing -------------------------------------------------------------

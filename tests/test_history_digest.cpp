@@ -245,12 +245,14 @@ TEST(HistoryDigest, KIndependentBaseline) {
   const data::Dataset dataset = tiny_dataset(400, 30);
   const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 31);
   const LtfbConfig ltfb = ltfb_config();
-  KIndependentDriver driver(
-      build_population(dataset, splits, population_config()), ltfb);
-  driver.run();
+  // No driver: the same reader and optimizer sequence as an LTFB run with
+  // the tournaments left out.
+  auto trainers = build_population(dataset, splits, population_config());
   Fnv1a fnv;
-  for (std::size_t t = 0; t < driver.population(); ++t) {
-    digest_trainer(fnv, driver.trainer(t));
+  for (auto& trainer : trainers) {
+    trainer->pretrain_autoencoder(ltfb.pretrain_steps);
+    trainer->train_steps(ltfb.rounds * ltfb.steps_per_round);
+    digest_trainer(fnv, *trainer);
   }
   expect_pinned("k_independent", fnv.value());
 }

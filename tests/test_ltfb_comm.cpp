@@ -157,15 +157,34 @@ TEST(DistributedLtfb, TrainingImprovesOverInitialModel) {
 TEST(DistributedLtfb, InvalidConfigurationThrows) {
   const data::Dataset dataset = tiny_dataset(120, 69);
   const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 70);
+  auto rejects = [&](const DistributedLtfbConfig& config) {
+    EXPECT_THROW(
+        comm::World::run(4,
+                         [&](comm::Communicator& world) {
+                           (void)run_distributed_ltfb(world, dataset, splits,
+                                                      config);
+                         }),
+        InvalidArgument);
+  };
   auto config = base_config();
   config.ranks_per_trainer = 3;  // does not divide world size 4
-  EXPECT_THROW(
-      comm::World::run(4,
-                       [&](comm::Communicator& world) {
-                         (void)run_distributed_ltfb(world, dataset, splits,
-                                                    config);
-                       }),
-      InvalidArgument);
+  rejects(config);
+
+  // LtfbConfig fields only LocalLtfbDriver reads fail instead of being
+  // silently ignored; the distributed equivalents live on
+  // DistributedLtfbConfig itself.
+  config = base_config();
+  config.ltfb.checkpoint_path = "ignored.pop";
+  rejects(config);
+  config = base_config();
+  config.ltfb.checkpoint_every = 1;
+  rejects(config);
+  config = base_config();
+  config.ltfb.resume_from = "ignored.pop";
+  rejects(config);
+  config = base_config();
+  config.ltfb.lr_perturbation = 0.1f;
+  rejects(config);
 }
 
 TEST(DistributedLtfb, BatchMustDivideAcrossRanks) {

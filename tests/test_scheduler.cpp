@@ -565,6 +565,44 @@ TEST(ElasticDeterminism, ChurnScheduleReplaysBitIdentically) {
   EXPECT_EQ(first.history[4].stats.size(), 3u);
 }
 
+TEST(ElasticLtfb, InvalidConfigurationThrows) {
+  const data::Dataset dataset = tiny_dataset(120, 43);
+  const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 44);
+  auto rejects = [&](const ElasticLtfbConfig& config) {
+    EXPECT_THROW(comm::World::run(2,
+                                  [&](comm::Communicator& world) {
+                                    (void)run_elastic_ltfb(world, dataset,
+                                                           splits, config);
+                                  }),
+                 InvalidArgument);
+  };
+  ElasticLtfbConfig base;
+  base.batch_size = 8;
+  base.ltfb.rounds = 1;
+  base.ltfb.steps_per_round = 1;
+  base.model = tiny_config();
+  base.comm_timeout = kTimeout;
+  base.churn_from_env = false;
+
+  ElasticLtfbConfig config = base;
+  config.comm_timeout = milliseconds(0);  // the protocol is deadline-based
+  rejects(config);
+  // LtfbConfig fields only LocalLtfbDriver reads fail instead of being
+  // silently ignored.
+  config = base;
+  config.ltfb.checkpoint_path = "ignored.pop";
+  rejects(config);
+  config = base;
+  config.ltfb.checkpoint_every = 1;
+  rejects(config);
+  config = base;
+  config.ltfb.resume_from = "ignored.pop";
+  rejects(config);
+  config = base;
+  config.ltfb.lr_perturbation = 0.1f;
+  rejects(config);
+}
+
 TEST(ElasticDeterminism, MigrationIsPlacementTransparent) {
   const data::Dataset dataset = tiny_dataset(200, 41);
   const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 42);

@@ -150,6 +150,9 @@ ENTRY_CHECK_MANIFEST = {
         ("load_population_checkpoint", "load_population_checkpoint"),
         ("decode_population_checkpoint", "decode_population_checkpoint"),
     ],
+    "src/core/ltfb.cpp": [
+        ("tournament_exchange", "tournament_exchange"),
+    ],
     "src/core/ltfb_comm.cpp": [
         ("run_distributed_ltfb", "run_distributed_ltfb"),
     ],

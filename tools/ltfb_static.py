@@ -521,9 +521,18 @@ def deliver_tag_arg(args: list[str]) -> str | None:
     return fields[2] if len(fields) >= 3 else None
 
 
+def tag_const_order(tag_const_names: set) -> list:
+    """Deterministic lookup order: real tag namespaces (`...Tag`/`...TagBase`)
+    before helper constants such as a tag-window width, so a tag function
+    that mentions both always resolves to its namespace — never to whichever
+    name Python's per-process string hashing happens to iterate first."""
+    return sorted(tag_const_names,
+                  key=lambda name: (not re.search(r"Tag(Base)?$", name), name))
+
+
 def resolve_tag_family(expr: str, fm: FileModel, tag_const_names: set, depth=0):
     norm = normalize_expr(expr)
-    for name in tag_const_names:
+    for name in tag_const_order(tag_const_names):
         if re.search(rf"\b{re.escape(name)}\b", expr):
             return ("const", name)
     if depth < 2 and norm in fm.assignments:
@@ -534,7 +543,7 @@ def resolve_tag_family(expr: str, fm: FileModel, tag_const_names: set, depth=0):
         for cm in CALL_RE.finditer(rhs):
             for ffm, fn in [(fm, f) for f in fm.functions if f.name == cm.group(1)]:
                 body = ffm.text[fn.body_start:fn.body_end]
-                for name in tag_const_names:
+                for name in tag_const_order(tag_const_names):
                     if re.search(rf"\b{re.escape(name)}\b", body):
                         return ("const", name)
         return ("local", fm.rel, norm)
