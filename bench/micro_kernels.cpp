@@ -70,6 +70,20 @@ void BM_GemmPool(benchmark::State& state) {
 // thread's CPU clock under-counts by ~the thread count.
 BENCHMARK(BM_GemmPool)->Args({512, 1})->Args({512, 4})->UseRealTime();
 
+// Fork-join cost of the compute team alone: one empty task per thread, so
+// the time is dispatch plus join. Kernels fan out only above a work
+// threshold; this is the overhead that threshold has to pay for.
+void BM_PoolDispatch(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  util::ComputePool& pool = util::ComputePool::instance();
+  pool.resize(threads);
+  for (auto _ : state) {
+    pool.run_tasks(threads, [](std::size_t t) { benchmark::DoNotOptimize(t); });
+  }
+  pool.resize(util::ComputePool::env_threads());
+}
+BENCHMARK(BM_PoolDispatch)->Arg(2)->Arg(4)->UseRealTime();
+
 void BM_GemmTransposed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   tensor::Tensor a(n, n), b(n, n), c(n, n);

@@ -52,7 +52,8 @@ ClassicTrainer::ClassicTrainer(int trainer_id,
                  "training view smaller than one batch");
   LTFB_CHECK(config_.input_width == train_->features.cols());
 
-  nn::LayerId cursor = model_.add_input(config_.input_width);
+  nn::LayerId cursor =
+      model_.add_input(config_.input_width, nn::InputKind::Data);
   for (const std::size_t width : config_.hidden) {
     cursor = model_.add_dense(cursor, width, config_.activation);
   }

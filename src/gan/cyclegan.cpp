@@ -13,9 +13,10 @@ namespace {
 
 /// Builds an MLP trunk: input -> hidden (LeakyReLU) -> linear head.
 nn::LayerId build_mlp(nn::Model& model, std::size_t input_width,
+                      nn::InputKind input_kind,
                       const std::vector<std::size_t>& hidden,
                       std::size_t output_width) {
-  nn::LayerId cursor = model.add_input(input_width);
+  nn::LayerId cursor = model.add_input(input_width, input_kind);
   for (const std::size_t width : hidden) {
     cursor = model.add_dense(cursor, width, nn::ActivationKind::LeakyRelu);
   }
@@ -34,15 +35,22 @@ CycleGan::CycleGan(CycleGanConfig config, std::uint64_t seed)
   LTFB_CHECK_MSG(config_.output_width() > 0, "output width must be positive");
   LTFB_CHECK(config_.latent_width > 0 && config_.input_width > 0);
 
-  encoder_out_ = build_mlp(encoder_, config_.output_width(),
+  // E(y) and F(x) read the batch itself: their inputs are data, so their
+  // backward skips the input-gradient GEMM. The other three read latents
+  // and pass gradient back into E or F.
+  using nn::InputKind;
+  encoder_out_ = build_mlp(encoder_, config_.output_width(), InputKind::Data,
                            config_.encoder_hidden, config_.latent_width);
   decoder_out_ = build_mlp(decoder_, config_.latent_width,
-                           config_.decoder_hidden, config_.output_width());
-  forward_out_ = build_mlp(forward_, config_.input_width,
+                           InputKind::Differentiable, config_.decoder_hidden,
+                           config_.output_width());
+  forward_out_ = build_mlp(forward_, config_.input_width, InputKind::Data,
                            config_.forward_hidden, config_.latent_width);
   inverse_out_ = build_mlp(inverse_, config_.latent_width,
-                           config_.inverse_hidden, config_.input_width);
+                           InputKind::Differentiable, config_.inverse_hidden,
+                           config_.input_width);
   disc_out_ = build_mlp(discriminator_, config_.latent_width,
+                        InputKind::Differentiable,
                         config_.discriminator_hidden, 1);
 
   nn::OptimizerFactory adam = nn::make_adam_factory(config_.learning_rate);

@@ -155,7 +155,11 @@ void FullyConnected::backward(
     tensor::column_sums(*gz, col_sums.data());
     tensor::axpy(1.0f, col_sums.data(), weights_[1]->gradient().data());
   }
-  // dX = dZ W^T
+  // dX = dZ W^T, unless the input is data that takes no gradient.
+  if (!propagates_gradient()) {
+    grad_inputs.clear();
+    return;
+  }
   grad_inputs.resize(1);
   grad_inputs[0].resize({x.rows(), in_width_});
   tensor::gemm(tensor::Op::None, tensor::Op::Transpose, 1.0f, *gz,

@@ -44,6 +44,14 @@ class Layer {
   const tensor::Tensor& output() const noexcept { return output_; }
   tensor::Tensor& mutable_output() noexcept { return output_; }
 
+  /// False when no parent takes a gradient (every parent is a data input,
+  /// or fed only by data inputs): backward() may then skip grad_inputs and
+  /// leave it empty. Set by the model when the layer joins it.
+  bool propagates_gradient() const noexcept { return propagates_gradient_; }
+  void set_propagates_gradient(bool propagates) noexcept {
+    propagates_gradient_ = propagates;
+  }
+
   std::vector<Weights*> weights() {
     std::vector<Weights*> result;
     result.reserve(weights_.size());
@@ -54,6 +62,9 @@ class Layer {
  protected:
   tensor::Tensor output_;
   std::vector<std::unique_ptr<Weights>> weights_;
+
+ private:
+  bool propagates_gradient_ = true;
 };
 
 /// Source layer; the model copies mini-batch data into its output.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "tensor/simd.hpp"
 #include "util/error.hpp"
 
 namespace ltfb::nn {
@@ -24,17 +25,36 @@ double mae_loss(const tensor::Tensor& pred, const tensor::Tensor& target,
   LTFB_CHECK_MSG(pred.same_shape(target), "mae_loss shape mismatch");
   const std::size_t n = pred.size();
   LTFB_CHECK(n > 0);
-  if (grad != nullptr) grad->resize(pred.shape());
   const double inv_n = 1.0 / static_cast<double>(n);
+  const float* p = pred.raw();
+  const float* t = target.raw();
+  if (grad != nullptr) {
+    // sign(pred - target) / n in its own branch-free vector pass. The float
+    // constants are exactly what float(±1.0 * inv_n) rounds to, and the
+    // ordered compares give 0 for ties and NaN, as the sign of the double
+    // difference does.
+    grad->resize(pred.shape());
+    float* g = grad->raw();
+    const float pos = static_cast<float>(inv_n);
+    const float neg = -pos;
+    using tensor::simd::vf;
+    constexpr std::size_t kW = tensor::simd::kNativeWidth;
+    const vf vpos = vf::broadcast(pos);
+    const vf vneg = vf::broadcast(neg);
+    const std::size_t ve = tensor::simd::main_loop_bound(n);
+    for (std::size_t i = 0; i < ve; i += kW) {
+      const vf vp = vf::load(p + i);
+      const vf vt = vf::load(t + i);
+      vf::select_gt(vp, vt, vpos, vf::select_gt(vt, vp, vneg, vf::zero()))
+          .store(g + i);
+    }
+    for (std::size_t i = ve; i < n; ++i) {
+      g[i] = p[i] > t[i] ? pos : (p[i] < t[i] ? neg : 0.0f);
+    }
+  }
   double loss = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double d =
-        static_cast<double>(pred[i]) - static_cast<double>(target[i]);
-    loss += std::abs(d);
-    if (grad != nullptr) {
-      (*grad)[i] =
-          static_cast<float>((d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0)) * inv_n);
-    }
+    loss += std::abs(static_cast<double>(p[i]) - static_cast<double>(t[i]));
   }
   return loss * inv_n;
 }

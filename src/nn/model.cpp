@@ -9,8 +9,9 @@ namespace ltfb::nn {
 Model::Model(std::string name, std::uint64_t seed)
     : name_(std::move(name)), rng_(seed) {}
 
-LayerId Model::add_input(std::size_t width) {
+LayerId Model::add_input(std::size_t width, InputKind kind) {
   const LayerId id = add(std::make_unique<InputLayer>(width), {});
+  layers_[id].takes_grad = kind == InputKind::Differentiable;
   input_ids_.push_back(id);
   return id;
 }
@@ -20,17 +21,22 @@ LayerId Model::add(std::unique_ptr<Layer> layer, std::vector<LayerId> parents) {
   const LayerId id = layers_.size();
   std::vector<std::size_t> input_widths;
   input_widths.reserve(parents.size());
+  bool parent_takes_grad = false;
   for (const LayerId parent : parents) {
     LTFB_CHECK_MSG(parent < id, "parent " << parent
                                           << " must precede layer " << id);
     input_widths.push_back(layers_[parent].layer->output_width());
+    parent_takes_grad = parent_takes_grad || layers_[parent].takes_grad;
   }
   layer->setup(input_widths, rng_);
+  layer->set_propagates_gradient(parent_takes_grad);
   for (Weights* w : layer->weights()) {
     weight_ptrs_.push_back(w);
     parameter_count_ += w->size();
   }
-  layers_.push_back(Node{std::move(layer), std::move(parents), {}, false});
+  const bool takes_grad = parent_takes_grad || !layer->weights().empty();
+  layers_.push_back(
+      Node{std::move(layer), std::move(parents), {}, false, takes_grad});
   return id;
 }
 
@@ -140,10 +146,13 @@ void Model::backward(const BackwardHook& hook) {
       // rest of the sweep.
       for (Weights* w : node.layer->weights()) hook(*w);
     }
+    if (!node.layer->propagates_gradient()) continue;
     LTFB_CHECK(grad_inputs.size() == node.parents.size() ||
                node.parents.empty());
     for (std::size_t p = 0; p < node.parents.size(); ++p) {
-      add_output_gradient(node.parents[p], grad_inputs[p]);
+      if (layers_[node.parents[p]].takes_grad) {
+        add_output_gradient(node.parents[p], grad_inputs[p]);
+      }
     }
   }
 }
@@ -151,6 +160,9 @@ void Model::backward(const BackwardHook& hook) {
 const tensor::Tensor& Model::input_gradient(std::size_t input_index) const {
   LTFB_CHECK(input_index < input_ids_.size());
   const Node& node = layers_[input_ids_[input_index]];
+  LTFB_CHECK_MSG(node.takes_grad, "input " << input_index
+                                           << " is a data input and takes "
+                                              "no gradient");
   LTFB_CHECK_MSG(node.has_grad,
                  "input " << input_index
                           << " received no gradient; run backward() first");

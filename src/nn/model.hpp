@@ -25,6 +25,11 @@ namespace ltfb::nn {
 
 using LayerId = std::size_t;
 
+/// A differentiable input receives dL/d(input) in backward(): composed
+/// models chain gradients through it. A data input never does, so the
+/// layers it feeds skip computing that gradient.
+enum class InputKind { Differentiable, Data };
+
 class Model {
  public:
   /// `seed` drives weight initialization and stochastic layers; two models
@@ -40,7 +45,8 @@ class Model {
 
   /// Adds a source layer of the given feature width. Mini-batch data is
   /// bound to input layers positionally in forward().
-  LayerId add_input(std::size_t width);
+  LayerId add_input(std::size_t width,
+                    InputKind kind = InputKind::Differentiable);
 
   /// Adds a layer whose parents are existing layer ids (all < the new id).
   LayerId add(std::unique_ptr<Layer> layer, std::vector<LayerId> parents);
@@ -90,7 +96,7 @@ class Model {
 
   /// dL/d(input i) after backward() — how composed models (e.g. the
   /// CycleGAN's decoder feeding gradient back into the forward model)
-  /// chain gradients across component networks.
+  /// chain gradients across component networks. Throws for a data input.
   const tensor::Tensor& input_gradient(std::size_t input_index) const;
 
   /// Optimizer update on every weights object.
@@ -126,6 +132,9 @@ class Model {
     std::vector<LayerId> parents;
     tensor::Tensor grad_accumulator;  // dL/d(output)
     bool has_grad = false;
+    // Whether backward() delivers dL/d(output) here: false for data inputs
+    // and for weightless layers fed only by them.
+    bool takes_grad = true;
   };
 
   std::vector<const tensor::Tensor*> parent_outputs(const Node& node) const;

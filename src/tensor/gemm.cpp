@@ -40,9 +40,39 @@ Dims check_dims(Op op_a, Op op_b, const Tensor& a, const Tensor& b,
   return {m, n, ka};
 }
 
+// Cache blocking: an A block (kBlockM x kBlockK) plus a B block
+// (kBlockK x kBlockN) stay resident in L2 while the register tiles sweep.
+// 32-row macro-blocks give a batch-128 layer four tasks, one per thread of a
+// 4-wide team. kBlockK is NOT a tuning knob: each C element sums its k terms
+// block by block, so the k-block size fixes the summation order.
+constexpr std::size_t kBlockM = 32;
+constexpr std::size_t kBlockN = 128;
+constexpr std::size_t kBlockK = 128;
+
+// Register tile: 4 rows of A against 16 columns of B, accumulated in a
+// fixed-size local array the compiler keeps in vector registers.
+constexpr std::size_t kMr = 4;
+constexpr std::size_t kNr = 16;
+static_assert(kBlockM % kMr == 0 && kBlockN % kNr == 0,
+              "macro-blocks must hold whole padded register tiles");
+
+constexpr std::size_t round_up(std::size_t x, std::size_t to) {
+  return (x + to - 1) / to * to;
+}
+
+// Below this many multiply-adds (2*m*n*k FLOPs / 2), dispatching to the
+// pool costs more than the kernel itself: run the block loop inline.
+constexpr std::size_t kParallelMnkThreshold = 1u << 18;
+
+// Per-thread pack buffers — hoisted out of the call frame so every team
+// thread reuses its own warm, cache-aligned copy instead of re-touching
+// fresh stack pages per call.
+alignas(64) thread_local std::array<float, kBlockM * kBlockK> tl_abuf;
+alignas(64) thread_local std::array<float, kBlockK * kBlockN> tl_bbuf;
+
 // Packs op(A)'s (i0..i0+mb) x (k0..k0+kb) block row-major into `buf`,
-// folding alpha into the packed values (one multiply per element instead of
-// one per use in the kernel).
+// zero rows padding it to whole kMr-row tiles, and folds alpha into the
+// packed values (one multiply per element instead of one per use).
 void pack_a(Op op, const Tensor& a, float alpha, std::size_t i0,
             std::size_t mb, std::size_t k0, std::size_t kb, float* buf) {
   const std::size_t lda = a.cols();
@@ -61,46 +91,28 @@ void pack_a(Op op, const Tensor& a, float alpha, std::size_t i0,
   if (alpha != 1.0f) {
     for (std::size_t i = 0; i < mb * kb; ++i) buf[i] *= alpha;
   }
+  std::fill(buf + mb * kb, buf + round_up(mb, kMr) * kb, 0.0f);
 }
 
-// Packs op(B)'s (k0..k0+kb) x (j0..j0+nb) block row-major into `buf`.
+// Packs op(B)'s (k0..k0+kb) x (j0..j0+nb) block row-major into `buf` with
+// row stride ldb = nb rounded up to whole kNr-column tiles, zero-filling the
+// padding columns.
 void pack_b(Op op, const Tensor& b, std::size_t k0, std::size_t kb,
-            std::size_t j0, std::size_t nb, float* buf) {
+            std::size_t j0, std::size_t nb, std::size_t ldb_packed,
+            float* buf) {
   const std::size_t ldb = b.cols();
-  if (op == Op::None) {
-    for (std::size_t k = 0; k < kb; ++k) {
-      const float* src = b.raw() + (k0 + k) * ldb + j0;
-      std::copy_n(src, nb, buf + k * nb);
-    }
-  } else {
-    for (std::size_t k = 0; k < kb; ++k) {
+  for (std::size_t k = 0; k < kb; ++k) {
+    float* dst = buf + k * ldb_packed;
+    if (op == Op::None) {
+      std::copy_n(b.raw() + (k0 + k) * ldb + j0, nb, dst);
+    } else {
       for (std::size_t j = 0; j < nb; ++j) {
-        buf[k * nb + j] = b.raw()[(j0 + j) * ldb + (k0 + k)];
+        dst[j] = b.raw()[(j0 + j) * ldb + (k0 + k)];
       }
     }
+    std::fill(dst + nb, dst + ldb_packed, 0.0f);
   }
 }
-
-// Cache blocking: an A block (kBlockM x kBlockK) plus a B block
-// (kBlockK x kBlockN) stay resident in L2 while the register tiles sweep.
-constexpr std::size_t kBlockM = 64;
-constexpr std::size_t kBlockN = 128;
-constexpr std::size_t kBlockK = 128;
-
-// Register tile: 4 rows of A against 16 columns of B, accumulated in a
-// fixed-size local array the compiler keeps in vector registers.
-constexpr std::size_t kMr = 4;
-constexpr std::size_t kNr = 16;
-
-// Below this many multiply-adds (2*m*n*k FLOPs / 2), dispatching to the
-// pool costs more than the kernel itself: run the block loop inline.
-constexpr std::size_t kParallelMnkThreshold = 1u << 18;
-
-// Per-worker pack buffers — hoisted out of the call frame so every pool
-// worker (and the calling thread on the serial path) reuses its own warm,
-// cache-aligned copy instead of re-touching fresh stack pages per call.
-alignas(64) thread_local std::array<float, kBlockM * kBlockK> tl_abuf;
-alignas(64) thread_local std::array<float, kBlockK * kBlockN> tl_bbuf;
 
 // Register-tile vector geometry: kNr columns hold kNv native vectors.
 constexpr std::size_t kW = simd::kNativeWidth;
@@ -108,19 +120,22 @@ static_assert(kNr % kW == 0,
               "register tile width must be a multiple of the vector width");
 constexpr std::size_t kNv = kNr / kW;
 
-// Full 4x16 register tile: kNv vector accumulators per A row, updated with
-// a broadcast-A multiply-add against the packed B row. At width 1 this
-// expands to exactly the scalar accumulation loop the pre-SIMD kernel ran
-// (same expression, same per-element order), which is the bit-identity
-// anchor the scalar build is held to.
+// The one micro-kernel: a kMr x kNr register tile of kNv vector
+// accumulators per A row, updated with a broadcast-A multiply-add against
+// the packed B row, then added into C once. Edge tiles run it too, on the
+// zero-padded panels, so every C element sums its k terms in one order
+// whatever tile covers it. At width 1 this expands to exactly the scalar
+// accumulation loop the pre-SIMD kernel ran (same expression, same
+// per-element order), which is the bit-identity anchor the scalar build is
+// held to.
 void micro_kernel_full(const float* LTFB_GEMM_RESTRICT a,
                        const float* LTFB_GEMM_RESTRICT b, std::size_t kb,
-                       std::size_t nb, float* LTFB_GEMM_RESTRICT c,
+                       std::size_t ldb, float* LTFB_GEMM_RESTRICT c,
                        std::size_t ldc) {
   using simd::vf;
   vf acc[kMr][kNv] = {};
   for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* LTFB_GEMM_RESTRICT brow = b + kk * nb;
+    const float* LTFB_GEMM_RESTRICT brow = b + kk * ldb;
     vf bv[kNv];
     for (std::size_t col = 0; col < kNv; ++col) {
       bv[col] = vf::load(brow + col * kW);
@@ -136,43 +151,6 @@ void micro_kernel_full(const float* LTFB_GEMM_RESTRICT a,
     for (std::size_t col = 0; col < kNv; ++col) {
       float* ct = c + r * ldc + col * kW;
       (vf::load(ct) + acc[r][col]).store(ct);
-    }
-  }
-}
-
-// Edge tile (mr <= kMr rows, nr <= kNr cols): full vectors over the leading
-// nr/kW column groups, scalar accumulators for the remainder lanes. Same
-// accumulation order per element as the full kernel, so every C element
-// sums its k terms identically no matter which tile shape covers it.
-void micro_kernel_edge(const float* LTFB_GEMM_RESTRICT a,
-                       const float* LTFB_GEMM_RESTRICT b, std::size_t kb,
-                       std::size_t nb, std::size_t mr, std::size_t nr,
-                       float* LTFB_GEMM_RESTRICT c, std::size_t ldc) {
-  using simd::vf;
-  vf vacc[kMr][kNv] = {};
-  float sacc[kMr][kNr] = {};
-  const std::size_t nv = nr / kW;
-  const std::size_t ns = nr % kW;
-  for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* LTFB_GEMM_RESTRICT brow = b + kk * nb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float as = a[r * kb + kk];
-      const vf av = vf::broadcast(as);
-      for (std::size_t col = 0; col < nv; ++col) {
-        vacc[r][col] = vacc[r][col].mul_add(av, vf::load(brow + col * kW));
-      }
-      for (std::size_t s = 0; s < ns; ++s) {
-        sacc[r][s] += as * brow[nv * kW + s];
-      }
-    }
-  }
-  for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t col = 0; col < nv; ++col) {
-      float* ct = c + r * ldc + col * kW;
-      (vf::load(ct) + vacc[r][col]).store(ct);
-    }
-    for (std::size_t s = 0; s < ns; ++s) {
-      c[r * ldc + nv * kW + s] += sacc[r][s];
     }
   }
 }
@@ -273,22 +251,33 @@ void gemm(Op op_a, Op op_b, float alpha, const Tensor& a, const Tensor& b,
     const std::size_t j0 = (t % j_blocks) * kBlockN;
     const std::size_t mb = std::min(kBlockM, m - i0);
     const std::size_t nb = std::min(kBlockN, n - j0);
+    const std::size_t ldb_packed = round_up(nb, kNr);
     float* const abuf = tl_abuf.data();
     float* const bbuf = tl_bbuf.data();
     for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
       const std::size_t kb = std::min(kBlockK, k - k0);
       pack_a(op_a, a, alpha, i0, mb, k0, kb, abuf);
-      pack_b(op_b, b, k0, kb, j0, nb, bbuf);
+      pack_b(op_b, b, k0, kb, j0, nb, ldb_packed, bbuf);
       for (std::size_t i = 0; i < mb; i += kMr) {
         const std::size_t mr = std::min(kMr, mb - i);
         for (std::size_t j = 0; j < nb; j += kNr) {
           const std::size_t nr = std::min(kNr, nb - j);
+          const float* ap = abuf + i * kb;
+          const float* bp = bbuf + j;
           float* ctile = cp + (i0 + i) * n + (j0 + j);
           if (mr == kMr && nr == kNr) {
-            micro_kernel_full(abuf + i * kb, bbuf + j, kb, nb, ctile, n);
-          } else {
-            micro_kernel_edge(abuf + i * kb, bbuf + j, kb, nb, mr, nr, ctile,
-                              n);
+            micro_kernel_full(ap, bp, kb, ldb_packed, ctile, n);
+            continue;
+          }
+          // Edge tile: the full kernel on the padded panels into a zeroed
+          // scratch tile, whose in-range part is then added into C — the
+          // same single add per k-block a full tile makes.
+          alignas(64) float edge[kMr * kNr] = {};
+          micro_kernel_full(ap, bp, kb, ldb_packed, edge, kNr);
+          for (std::size_t r = 0; r < mr; ++r) {
+            for (std::size_t col = 0; col < nr; ++col) {
+              ctile[r * n + col] += edge[r * kNr + col];
+            }
           }
         }
       }

@@ -98,6 +98,11 @@ struct vec {
     return vec{x.v > native{} ? a.v : b.v};
   }
 
+  /// Lanewise x > y ? a : b — an ordered compare, so a NaN lane picks b.
+  static vec select_gt(vec x, vec y, vec a, vec b) {
+    return vec{x.v > y.v ? a.v : b.v};
+  }
+
   /// Lanewise min/max via the same comparison-select the scalar
   /// std::clamp expansion performs.
   static vec min(vec a, vec b) { return vec{a.v < b.v ? a.v : b.v}; }
@@ -167,6 +172,9 @@ struct vec<1> {
 
   static vec select_gt_zero(vec x, vec a, vec b) {
     return vec{x.v > 0.0f ? a.v : b.v};
+  }
+  static vec select_gt(vec x, vec y, vec a, vec b) {
+    return vec{x.v > y.v ? a.v : b.v};
   }
   static vec min(vec a, vec b) { return vec{a.v < b.v ? a.v : b.v}; }
   static vec max(vec a, vec b) { return vec{a.v > b.v ? a.v : b.v}; }

@@ -2,6 +2,7 @@
 // across the whole DAG, optimizers, losses, and data-parallel hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -440,6 +441,54 @@ TEST(Model, InputGradientBeforeBackwardThrows) {
   model.forward({&x});
   model.zero_gradients();
   EXPECT_THROW(model.input_gradient(0), InvalidArgument);
+}
+
+TEST(Model, DataInputSkipsItsGradientButNotTheWeights) {
+  // A data input takes no gradient, so the first layer skips its dX GEMM.
+  // Every weight gradient, and the order the backward hook sees them in,
+  // must match the same model built with a differentiable input.
+  auto build = [](InputKind kind) {
+    Model model("m", 21);
+    const LayerId in = model.add_input(5, kind);
+    const LayerId hidden =
+        model.add_dense(in, 7, ActivationKind::LeakyRelu);
+    model.add_linear(hidden, 3);
+    return model;
+  };
+  Model differentiable = build(InputKind::Differentiable);
+  Model data = build(InputKind::Data);
+  const LayerId out = 2;
+  const Tensor x = random_batch(6, 5, 22);
+  const Tensor y = random_batch(6, 3, 23);
+  auto run = [&](Model& model) {
+    std::vector<const Weights*> hooked;
+    model.forward({&x});
+    Tensor grad;
+    mse_loss(model.output(out), y, &grad);
+    model.zero_gradients();
+    model.add_output_gradient(out, grad);
+    model.backward([&hooked](Weights& w) { hooked.push_back(&w); });
+    return hooked;
+  };
+  const std::vector<const Weights*> differentiable_hooks = run(differentiable);
+  const std::vector<const Weights*> data_hooks = run(data);
+
+  const std::vector<Weights*> dw = differentiable.weights();
+  const std::vector<Weights*> ww = data.weights();
+  ASSERT_EQ(differentiable_hooks.size(), dw.size());
+  ASSERT_EQ(data_hooks.size(), ww.size());
+  for (std::size_t i = 0; i < dw.size(); ++i) {
+    const auto position = [](const std::vector<const Weights*>& order,
+                             const Weights* w) {
+      return std::find(order.begin(), order.end(), w) - order.begin();
+    };
+    EXPECT_EQ(position(differentiable_hooks, dw[i]),
+              position(data_hooks, ww[i]))
+        << "weights " << i;
+  }
+  EXPECT_EQ(differentiable.flatten_gradients(), data.flatten_gradients());
+  EXPECT_NO_THROW(differentiable.input_gradient(0));
+  EXPECT_THROW(data.input_gradient(0), InvalidArgument);
 }
 
 TEST(Model, FanOutGradientsAccumulate) {

@@ -156,9 +156,16 @@ class ScopedPoolSize {
 // naive triple-loop reference — the threaded register-tiled kernel earns
 // its speed only if it is indistinguishable from the textbook product.
 TEST(GemmPoolSweep, MatchesReferenceAcrossShapesOpsAndPoolSizes) {
-  const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes = {
       {1, 1, 1},   {1, 17, 3},  {3, 1, 7},    {5, 5, 5},
       {13, 29, 31}, {63, 127, 129}, {65, 129, 131}, {128, 128, 64}};
+  // The CycleGAN's skinny layer shapes: batch or bundle rows against narrow
+  // hidden/latent widths, where most register tiles are padded edge tiles.
+  for (const std::size_t m : {128u, 207u}) {
+    for (const std::size_t n : {1u, 5u, 12u, 20u, 24u}) {
+      for (const std::size_t k : {5u, 20u, 128u}) shapes.emplace_back(m, n, k);
+    }
+  }
   const std::pair<Op, Op> ops[] = {{Op::None, Op::None},
                                    {Op::Transpose, Op::None},
                                    {Op::None, Op::Transpose},

@@ -1,19 +1,23 @@
 // Unit tests for src/util: RNG determinism and quality, statistics,
-// formatting, tables, and the thread pool.
+// formatting, tables, the thread pool, and the compute team.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <future>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "util/compute_pool.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -432,6 +436,122 @@ TEST(ThreadPool, SubmitDuringShutdownThrowsInsteadOfDeadlocking) {
   EXPECT_TRUE(threw);
   release.set_value();
   destroyer.join();
+}
+
+// ---- compute pool --------------------------------------------------------------
+
+// Pins the process-wide team to `threads` for one test, then restores the
+// environment default so later tests see the usual team.
+class ScopedTeamSize {
+ public:
+  explicit ScopedTeamSize(std::size_t threads) {
+    ComputePool::instance().resize(threads);
+  }
+  ~ScopedTeamSize() {
+    ComputePool::instance().resize(ComputePool::env_threads());
+  }
+  ScopedTeamSize(const ScopedTeamSize&) = delete;
+  ScopedTeamSize& operator=(const ScopedTeamSize&) = delete;
+};
+
+TEST(ComputePool, ExceptionIsRethrownOnlyAfterEveryShareFinishes) {
+  const ScopedTeamSize team(4);
+  // One task per share: task 0 (the caller's share) throws at once while
+  // the workers' tasks are still sleeping, and task 2's later throw loses
+  // to the lower share's.
+  std::array<std::atomic<bool>, 4> finished{};
+  try {
+    ComputePool::instance().run_tasks(4, [&finished](std::size_t t) {
+      if (t == 0) throw std::runtime_error("share 0");
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      finished[t] = true;
+      if (t == 2) throw std::runtime_error("share 2");
+    });
+    FAIL() << "run_tasks swallowed the task exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "share 0");
+  }
+  for (std::size_t t = 1; t < finished.size(); ++t) {
+    EXPECT_TRUE(finished[t]) << "task " << t
+                             << " still running when run_tasks threw";
+  }
+}
+
+TEST(ComputePool, NestedRunTasksRunsInline) {
+  const ScopedTeamSize team(4);
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 16;
+  std::array<std::thread::id, kOuter> outer_thread{};
+  std::array<std::array<std::thread::id, kInner>, kOuter> inner_thread{};
+  std::array<std::array<std::size_t, kInner>, kOuter> value{};
+  ComputePool::instance().run_tasks(kOuter, [&](std::size_t t) {
+    outer_thread[t] = std::this_thread::get_id();
+    ComputePool::instance().run_tasks(kInner, [&, t](std::size_t u) {
+      inner_thread[t][u] = std::this_thread::get_id();
+      value[t][u] = t * kInner + u;
+    });
+  });
+  EXPECT_EQ(outer_thread[0], std::this_thread::get_id())
+      << "the caller runs the first share itself";
+  for (std::size_t t = 0; t < kOuter; ++t) {
+    for (std::size_t u = 0; u < kInner; ++u) {
+      EXPECT_EQ(inner_thread[t][u], outer_thread[t]);
+      EXPECT_EQ(value[t][u], t * kInner + u);
+    }
+  }
+}
+
+TEST(ComputePool, ConcurrentCallersAllGetCorrectResults) {
+  // In-process rank threads share the one team: whoever finds it busy runs
+  // inline, and every caller must still get exactly its own results.
+  const ScopedTeamSize team(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kTasks = 64;
+  constexpr int kRounds = 200;
+  std::array<bool, kCallers> ok{};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([c, &ok] {
+      std::vector<std::size_t> out(kTasks);
+      bool all_right = true;
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t salt = c * 1000 + static_cast<std::size_t>(round);
+        ComputePool::instance().run_tasks(
+            kTasks, [&out, salt](std::size_t t) { out[t] = t * 7 + salt; });
+        for (std::size_t t = 0; t < kTasks; ++t) {
+          all_right = all_right && out[t] == t * 7 + salt;
+        }
+      }
+      ok[c] = all_right;
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_TRUE(ok[c]) << "caller " << c;
+  }
+}
+
+TEST(ComputePool, ResizeBetweenCallsWorks) {
+  const ScopedTeamSize restore(ComputePool::env_threads());
+  ComputePool& pool = ComputePool::instance();
+  for (const std::size_t threads : {1u, 3u, 2u, 8u, 1u, 4u}) {
+    pool.resize(threads);
+    EXPECT_EQ(pool.size(), threads);
+    constexpr std::size_t kTasks = 37;
+    std::vector<std::size_t> out(kTasks, 0);
+    std::vector<std::thread::id> ran_on(kTasks);
+    pool.run_tasks(kTasks, [&](std::size_t t) {
+      out[t] = t + threads;
+      ran_on[t] = std::this_thread::get_id();
+    });
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(out[t], t + threads) << "threads=" << threads;
+    }
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+    EXPECT_LE(distinct.size(), threads);
+  }
+  EXPECT_THROW(pool.resize(0), Error);
 }
 
 TEST(Stopwatch, MeasuresElapsed) {
