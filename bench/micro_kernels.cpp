@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <iostream>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "bench_telemetry.hpp"
 #include "comm/communicator.hpp"
@@ -212,7 +214,54 @@ BENCHMARK(BM_DataStoreFetch);
 // google-benchmark runs so the gate reads stable, purpose-named numbers.
 // Also records the SIMD build configuration (bench/simd_width, which the
 // gate maps to a per-configuration floor key like "simd=avx2") and the
-// FLOP + bytes-moved totals each measurement pushed through the kernel.
+// FLOP + bytes-moved totals each measurement pushed through the kernel,
+// plus an ungated serial gauge over the CycleGAN's skinny layer shapes.
+// Serial GFLOP/s over the GEMMs of a batch-128 step through the CycleGAN's
+// 207->64 and 64->32 dense layers: forward (X W), weight gradient (X^T dZ)
+// and input gradient (dZ W^T) of each, issued exactly as nn::FullyConnected
+// issues them. These narrow shapes are mostly padded edge tiles and B-panel
+// packing, which the square 512^3 gauge never shows. Reported, not gated.
+void record_layer_gemm_gauge() {
+  using tensor::Op;
+  using tensor::Tensor;
+  constexpr std::size_t kBatch = 128;
+  constexpr int kIters = 200;
+  struct Layer {
+    Tensor x, w, z, dw, dx;
+  };
+  std::vector<Layer> layers;
+  double flops = 0.0;
+  for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{207, 64},
+                                std::pair<std::size_t, std::size_t>{64, 32}}) {
+    Layer layer{Tensor(kBatch, in), Tensor(in, out), Tensor(kBatch, out),
+                Tensor(in, out), Tensor(kBatch, in)};
+    fill_random(layer.x, 5);
+    fill_random(layer.w, 6);
+    fill_random(layer.z, 7);
+    layers.push_back(std::move(layer));
+    flops += 3.0 * tensor::gemm_flops(kBatch, out, in);
+  }
+  auto step = [&layers] {
+    for (Layer& l : layers) {
+      tensor::gemm(Op::None, Op::None, 1.0f, l.x, l.w, 0.0f, l.z);
+      tensor::gemm(Op::Transpose, Op::None, 1.0f, l.x, l.z, 1.0f, l.dw);
+      tensor::gemm(Op::None, Op::Transpose, 1.0f, l.z, l.w, 0.0f, l.dx);
+      benchmark::DoNotOptimize(l.dx.raw());
+    }
+  };
+  util::ComputePool::instance().resize(1);
+  step();  // warm-up (pack buffers, page faults)
+  const std::uint64_t start = telemetry::now_ns();
+  for (int i = 0; i < kIters; ++i) step();
+  const double seconds =
+      static_cast<double>(telemetry::now_ns() - start) * 1e-9;
+  util::ComputePool::instance().resize(util::ComputePool::env_threads());
+  const double gflops = flops * kIters / seconds / 1e9;
+  LTFB_GAUGE_SET("bench/gemm_layers_serial_gflops", gflops);
+  std::cout << "gemm batch-128 layers 207->64, 64->32 (fwd, dW, dX): serial "
+            << gflops << " GFLOP/s\n";
+}
+
 void record_gemm_scaling_gauges() {
   constexpr std::size_t kN = 512;
   constexpr int kIters = 3;
@@ -249,6 +298,7 @@ void record_gemm_scaling_gauges() {
   std::cout << "gemm 512^3 (simd width " << tensor::simd::kNativeWidth
             << "): serial " << serial << " GFLOP/s, pool(4) " << pool4
             << " GFLOP/s, speedup " << pool4 / serial << "x\n";
+  record_layer_gemm_gauge();
 }
 
 // Streaming-kernel bandwidth gauge: axpy moves 3 floats of traffic per

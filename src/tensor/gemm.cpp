@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
@@ -11,8 +16,8 @@
 #include "util/compute_pool.hpp"
 
 // Restrict-qualified pointers let the compiler prove the packed A/B blocks
-// and the C tile never alias, which is what unlocks auto-vectorization of
-// the register-tile loops below.
+// and the C tile never alias, so the micro-kernel's loads of the packed
+// panels need no reload after its stores to C.
 #define LTFB_GEMM_RESTRICT __restrict
 
 namespace ltfb::tensor {
@@ -49,8 +54,8 @@ constexpr std::size_t kBlockM = 32;
 constexpr std::size_t kBlockN = 128;
 constexpr std::size_t kBlockK = 128;
 
-// Register tile: 4 rows of A against 16 columns of B, accumulated in a
-// fixed-size local array the compiler keeps in vector registers.
+// Register tile: 4 rows of A against 16 columns of B, accumulated in local
+// vectors the micro-kernel indexes only with compile-time constants.
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 16;
 static_assert(kBlockM % kMr == 0 && kBlockN % kNr == 0,
@@ -64,11 +69,26 @@ constexpr std::size_t round_up(std::size_t x, std::size_t to) {
 // pool costs more than the kernel itself: run the block loop inline.
 constexpr std::size_t kParallelMnkThreshold = 1u << 18;
 
-// Per-thread pack buffers — hoisted out of the call frame so every team
+// Per-thread A pack buffer — hoisted out of the call frame so every team
 // thread reuses its own warm, cache-aligned copy instead of re-touching
 // fresh stack pages per call.
 alignas(64) thread_local std::array<float, kBlockM * kBlockK> tl_abuf;
-alignas(64) thread_local std::array<float, kBlockK * kBlockN> tl_bbuf;
+
+// The op(B) column block a thread is working through: all its k-panels,
+// stacked into one k x round_up(nb, kNr) row-major panel. It stays packed
+// while the thread's share of tasks walks that column block's row blocks.
+// The tag is the gemm call that packed it, never an operand address: the
+// weights behind one address change between calls.
+struct PackedB {
+  std::vector<float> storage;
+  float* panel = nullptr;  // 64-byte aligned start inside storage
+  std::uint64_t call = 0;  // 0: nothing packed yet
+  std::size_t j_block = 0;
+};
+thread_local PackedB tl_packed_b;
+
+// Numbers gemm calls for the PackedB tags; starts at 1.
+std::atomic<std::uint64_t> g_gemm_calls{0};
 
 // Packs op(A)'s (i0..i0+mb) x (k0..k0+kb) block row-major into `buf`,
 // zero rows padding it to whole kMr-row tiles, and folds alpha into the
@@ -94,20 +114,20 @@ void pack_a(Op op, const Tensor& a, float alpha, std::size_t i0,
   std::fill(buf + mb * kb, buf + round_up(mb, kMr) * kb, 0.0f);
 }
 
-// Packs op(B)'s (k0..k0+kb) x (j0..j0+nb) block row-major into `buf` with
-// row stride ldb = nb rounded up to whole kNr-column tiles, zero-filling the
-// padding columns.
-void pack_b(Op op, const Tensor& b, std::size_t k0, std::size_t kb,
-            std::size_t j0, std::size_t nb, std::size_t ldb_packed,
-            float* buf) {
+// Packs op(B)'s (0..k) x (j0..j0+nb) column block row-major into `buf` with
+// row stride ldb_packed = nb rounded up to whole kNr-column tiles,
+// zero-filling the padding columns. The k-panel of k-block k0 is then the
+// ldb_packed-strided panel starting at row k0.
+void pack_b(Op op, const Tensor& b, std::size_t k, std::size_t j0,
+            std::size_t nb, std::size_t ldb_packed, float* buf) {
   const std::size_t ldb = b.cols();
-  for (std::size_t k = 0; k < kb; ++k) {
-    float* dst = buf + k * ldb_packed;
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    float* dst = buf + kk * ldb_packed;
     if (op == Op::None) {
-      std::copy_n(b.raw() + (k0 + k) * ldb + j0, nb, dst);
+      std::copy_n(b.raw() + kk * ldb + j0, nb, dst);
     } else {
       for (std::size_t j = 0; j < nb; ++j) {
-        dst[j] = b.raw()[(j0 + j) * ldb + (k0 + k)];
+        dst[j] = b.raw()[(j0 + j) * ldb + kk];
       }
     }
     std::fill(dst + nb, dst + ldb_packed, 0.0f);
@@ -120,12 +140,33 @@ static_assert(kNr % kW == 0,
               "register tile width must be a multiple of the vector width");
 constexpr std::size_t kNv = kNr / kW;
 
+// Calls f(i) for i = 0, 1, ..., N-1 over one dimension of the register
+// tile. At vector widths the loop is unrolled by construction rather than
+// by compiler heuristic: each i is a std::integral_constant, so every
+// accumulator index is a compile-time constant. At width 1 the tile is 64
+// scalar accumulators, more than a register file holds, and unrolled they
+// spill; a plain loop lets the compiler vectorize across the tile's columns
+// instead.
+template <std::size_t N, typename F>
+inline void tile_loop(F&& f) {
+  if constexpr (kW == 1) {
+    for (std::size_t i = 0; i < N; ++i) f(i);
+  } else {
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (f(std::integral_constant<std::size_t, I>{}), ...);
+    }(std::make_index_sequence<N>{});
+  }
+}
+
 // The one micro-kernel: a kMr x kNr register tile of kNv vector
 // accumulators per A row, updated with a broadcast-A multiply-add against
-// the packed B row, then added into C once. Edge tiles run it too, on the
-// zero-padded panels, so every C element sums its k terms in one order
-// whatever tile covers it. At width 1 this expands to exactly the scalar
-// accumulation loop the pre-SIMD kernel ran (same expression, same
+// the packed B row, then added into C once. At vector widths every
+// accumulator index is a compile-time constant, which is what lets the
+// compiler keep the whole tile in registers (at avx2: 8 ymm accumulators,
+// and each k step is 2 loads, 4 broadcasts and 8 FMAs). Edge tiles run it
+// too, on the zero-padded panels, so every C element sums its k terms in
+// one order whatever tile covers it. At width 1 this expands to exactly the
+// scalar accumulation loop the pre-SIMD kernel ran (same expression, same
 // per-element order), which is the bit-identity anchor the scalar build is
 // held to.
 void micro_kernel_full(const float* LTFB_GEMM_RESTRICT a,
@@ -133,26 +174,27 @@ void micro_kernel_full(const float* LTFB_GEMM_RESTRICT a,
                        std::size_t ldb, float* LTFB_GEMM_RESTRICT c,
                        std::size_t ldc) {
   using simd::vf;
-  vf acc[kMr][kNv] = {};
+  vf acc[kMr][kNv];
+  tile_loop<kMr>([&](auto r) {
+    tile_loop<kNv>([&](auto col) { acc[r][col] = vf::zero(); });
+  });
   for (std::size_t kk = 0; kk < kb; ++kk) {
     const float* LTFB_GEMM_RESTRICT brow = b + kk * ldb;
     vf bv[kNv];
-    for (std::size_t col = 0; col < kNv; ++col) {
-      bv[col] = vf::load(brow + col * kW);
-    }
-    for (std::size_t r = 0; r < kMr; ++r) {
+    tile_loop<kNv>([&](auto col) { bv[col] = vf::load(brow + col * kW); });
+    tile_loop<kMr>([&](auto r) {
       const vf av = vf::broadcast(a[r * kb + kk]);
-      for (std::size_t col = 0; col < kNv; ++col) {
+      tile_loop<kNv>([&](auto col) {
         acc[r][col] = acc[r][col].mul_add(av, bv[col]);
-      }
-    }
+      });
+    });
   }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t col = 0; col < kNv; ++col) {
+  tile_loop<kMr>([&](auto r) {
+    tile_loop<kNv>([&](auto col) {
       float* ct = c + r * ldc + col * kW;
       (vf::load(ct) + acc[r][col]).store(ct);
-    }
-  }
+    });
+  });
 }
 
 // Applies the fused epilogue to C's (i0..i0+mb) x (j0..j0+nb) block:
@@ -241,29 +283,49 @@ void gemm(Op op_a, Op op_b, float alpha, const Tensor& a, const Tensor& b,
 
   const std::size_t i_blocks = (m + kBlockM - 1) / kBlockM;
   const std::size_t j_blocks = (n + kBlockN - 1) / kBlockN;
+  const std::uint64_t call =
+      g_gemm_calls.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // One task per C macro-block. The k0 loop runs sequentially INSIDE the
-  // task, so each C element accumulates its k terms in one fixed order —
-  // the deterministic block-to-accumulator mapping that makes output
-  // bit-identical across runs and pool sizes.
+  // One task per C macro-block, numbered column-block-major: a thread's
+  // contiguous share of tasks walks the row blocks of one column block, so
+  // it packs that column block of op(B) once and reuses it for every row
+  // block. The k0 loop runs sequentially INSIDE the task, so each C
+  // element accumulates its k terms in one fixed order — the deterministic
+  // block-to-accumulator mapping that makes output bit-identical across
+  // runs and pool sizes.
   auto block_task = [&, m = m, n = n, k = k](std::size_t t) {
-    const std::size_t i0 = (t / j_blocks) * kBlockM;
-    const std::size_t j0 = (t % j_blocks) * kBlockN;
+    const std::size_t j_block = t / i_blocks;
+    const std::size_t i0 = (t % i_blocks) * kBlockM;
+    const std::size_t j0 = j_block * kBlockN;
     const std::size_t mb = std::min(kBlockM, m - i0);
     const std::size_t nb = std::min(kBlockN, n - j0);
     const std::size_t ldb_packed = round_up(nb, kNr);
+    PackedB& packed = tl_packed_b;
+    if (packed.call != call || packed.j_block != j_block) {
+      const std::size_t floats = k * ldb_packed;
+      if (packed.storage.size() < floats + kNr) {
+        // Grows only; the slack lets the panel start on a 64-byte line.
+        packed.storage.resize(floats + kNr);
+        void* start = packed.storage.data();
+        std::size_t space = packed.storage.size() * sizeof(float);
+        packed.panel = static_cast<float*>(
+            std::align(64, floats * sizeof(float), start, space));
+      }
+      pack_b(op_b, b, k, j0, nb, ldb_packed, packed.panel);
+      packed.call = call;
+      packed.j_block = j_block;
+    }
     float* const abuf = tl_abuf.data();
-    float* const bbuf = tl_bbuf.data();
     for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
       const std::size_t kb = std::min(kBlockK, k - k0);
       pack_a(op_a, a, alpha, i0, mb, k0, kb, abuf);
-      pack_b(op_b, b, k0, kb, j0, nb, ldb_packed, bbuf);
+      const float* const bpanel = packed.panel + k0 * ldb_packed;
       for (std::size_t i = 0; i < mb; i += kMr) {
         const std::size_t mr = std::min(kMr, mb - i);
         for (std::size_t j = 0; j < nb; j += kNr) {
           const std::size_t nr = std::min(kNr, nb - j);
           const float* ap = abuf + i * kb;
-          const float* bp = bbuf + j;
+          const float* bp = bpanel + j;
           float* ctile = cp + (i0 + i) * n + (j0 + j);
           if (mr == kMr && nr == kNr) {
             micro_kernel_full(ap, bp, kb, ldb_packed, ctile, n);

@@ -1,5 +1,7 @@
 #include "util/compute_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -58,6 +60,16 @@ T await_change(const std::atomic<T>& flag, T old, bool spin) {
   }
 }
 
+// Handles of the workers a forked child inherited from its parent. The
+// child can neither join nor detach them: those threads do not exist in it,
+// and its thread library recycles their stacks for the child's own new
+// threads. Parked here and never destroyed.
+std::vector<std::thread>& parent_workers() {
+  static std::vector<std::thread>* const parked =
+      std::make_unique<std::vector<std::thread>>().release();
+  return *parked;
+}
+
 // Runs tasks [begin, end) in order; returns the exception of the first task
 // that throws (the rest of the range is skipped).
 std::exception_ptr run_share(const std::function<void(std::size_t)>& fn,
@@ -92,6 +104,24 @@ ComputePool::ComputePool() {
   // telemetry counters until they are joined.
   telemetry::Registry::instance();
   resize(env_threads());
+  const int registered = ::pthread_atfork(
+      &before_fork, &after_fork_in_parent, &after_fork_in_child);
+  LTFB_CHECK_MSG(registered == 0, "pthread_atfork failed: " << registered);
+}
+
+void ComputePool::before_fork() { instance().team_mutex_.lock(); }
+
+void ComputePool::after_fork_in_parent() { instance().team_mutex_.unlock(); }
+
+void ComputePool::after_fork_in_child() {
+  ComputePool& pool = instance();
+  for (std::thread& thread : pool.threads_) {
+    parent_workers().push_back(std::move(thread));
+  }
+  pool.threads_.clear();
+  pool.slots_.reset();
+  pool.size_.store(1, std::memory_order_relaxed);
+  pool.team_mutex_.unlock();
 }
 
 ComputePool::~ComputePool() {

@@ -22,6 +22,11 @@
 // calling tensor::scale), and a call that finds the team already serving
 // another thread (in-process rank threads share the team), runs every task
 // inline on the calling thread. Neither ever blocks on the team.
+//
+// Fork rule: the team belongs to the process that started it. A forked
+// child (World::spawn_processes) inherits none of the workers, so it starts
+// with a team of size 1 and runs every task inline until it resizes, which
+// starts a fresh team of its own.
 #pragma once
 
 #include <atomic>
@@ -84,6 +89,13 @@ class ComputePool {
       LTFB_REQUIRES(team_mutex_);
   // A worker thread's whole life: wait for a share, run it, report.
   void serve(Slot& slot);
+
+  // pthread_atfork handlers. The team mutex is held across fork(), so no
+  // fork-join or resize is mid-flight in the copy a child inherits; the
+  // child then drops the parent's workers without joining them.
+  static void before_fork() LTFB_NO_THREAD_SAFETY_ANALYSIS;
+  static void after_fork_in_parent() LTFB_NO_THREAD_SAFETY_ANALYSIS;
+  static void after_fork_in_child() LTFB_NO_THREAD_SAFETY_ANALYSIS;
 
   // Held for the whole of a fork-join and by resize(). run_tasks() only
   // try-locks it: a caller that finds the team busy runs inline instead.

@@ -509,8 +509,18 @@ TEST(Request, ConcurrentHandleUseFailsFast) {
   Communicator comm0 = world.communicator(0);
   Communicator comm1 = world.communicator(1);
   std::thread receiver([&comm0] {
-    const Buffer buffer = comm0.recv(1, 77);  // blocks until released below
-    EXPECT_EQ(buffer, (Buffer{1}));
+    // The check fires in whichever thread enters second, so the receiver's
+    // own recv() can be the call that fails fast while a probe is inside
+    // send(). Retry until the receiver is the one parked inside recv().
+    for (;;) {
+      try {
+        const Buffer buffer = comm0.recv(1, 77);  // blocks until released
+        EXPECT_EQ(buffer, (Buffer{1}));
+        return;
+      } catch (const Error&) {
+        std::this_thread::yield();
+      }
+    }
   });
   // Once the receiver is parked inside recv() it holds the use stamp until
   // the matching send arrives, so eventually our probe must throw.

@@ -1,11 +1,13 @@
 // Unit tests for src/util: RNG determinism and quality, statistics,
 // formatting, tables, the thread pool, and the compute team.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -17,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "comm/communicator.hpp"
+#include "tensor/gemm.hpp"
 #include "util/compute_pool.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -552,6 +556,54 @@ TEST(ComputePool, ResizeBetweenCallsWorks) {
     EXPECT_LE(distinct.size(), threads);
   }
   EXPECT_THROW(pool.resize(0), Error);
+}
+
+// The team belongs to the process that started it. A child forked from a
+// process whose team has workers inherits none of them: its fan-out GEMM
+// must run inline instead of waiting for shares nobody runs, and its resize
+// must start a team of its own without joining the parent's workers.
+TEST(ComputePool, ForkedChildRunsInlineThenStartsItsOwnTeam) {
+#if defined(__SANITIZE_THREAD__)
+  // TSan cannot follow a child of a multi-threaded process that starts a
+  // thread: by default it kills the child, and with die_after_fork=0 its
+  // thread registry still holds the parent's workers and aborts when the
+  // child's new thread reuses one of their ids.
+  GTEST_SKIP() << "TSan does not support threads in a child forked from a "
+                  "multi-threaded process";
+#endif
+  constexpr std::size_t kN = 128;  // 128^3 multiply-adds: the GEMM fans out
+  tensor::Tensor a(kN, kN), b(kN, kN), serial(kN, kN);
+  Rng rng(5);
+  for (float& v : a.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& v : b.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  {
+    const ScopedTeamSize team(1);
+    tensor::matmul(a, b, serial);
+  }
+  const ScopedTeamSize team(4);
+  const auto statuses =
+      comm::World::spawn_processes(2, [&](comm::Communicator&) {
+        // A child stuck waiting on its parent's workers dies of SIGALRM
+        // instead of hanging the test.
+        ::alarm(10);
+        const auto matches_serial = [&] {
+          tensor::Tensor c(kN, kN);
+          tensor::matmul(a, b, c);
+          return std::memcmp(c.raw(), serial.raw(),
+                             kN * kN * sizeof(float)) == 0;
+        };
+        if (!matches_serial()) {
+          throw std::runtime_error("GEMM on the inherited team differs");
+        }
+        ComputePool::instance().resize(2);
+        if (!matches_serial()) {
+          throw std::runtime_error("GEMM on the child's own team differs");
+        }
+      });
+  ASSERT_EQ(statuses.size(), 2u);
+  for (const auto& status : statuses) {
+    EXPECT_EQ(status.code, comm::World::kExitClean) << "rank " << status.rank;
+  }
 }
 
 TEST(Stopwatch, MeasuresElapsed) {
