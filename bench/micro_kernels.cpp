@@ -3,10 +3,15 @@
 // broadcast over the in-process comm substrate, the data-store exchange,
 // a full CycleGAN training step, and the JAG simulator itself.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,6 +35,17 @@ using namespace ltfb;
 void fill_random(tensor::Tensor& t, std::uint64_t seed) {
   util::Rng rng(seed);
   for (auto& v : t.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+}
+
+// User plus system CPU time of the whole process, every thread included.
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 void BM_Gemm(benchmark::State& state) {
@@ -75,6 +91,7 @@ BENCHMARK(BM_GemmPool)->Args({512, 1})->Args({512, 4})->UseRealTime();
 // Fork-join cost of the compute team alone: one empty task per thread, so
 // the time is dispatch plus join. Kernels fan out only above a work
 // threshold; this is the overhead that threshold has to pay for.
+// Back-to-back calls find the workers still spinning from the last one.
 void BM_PoolDispatch(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   util::ComputePool& pool = util::ComputePool::instance();
@@ -85,6 +102,29 @@ void BM_PoolDispatch(benchmark::State& state) {
   pool.resize(util::ComputePool::env_threads());
 }
 BENCHMARK(BM_PoolDispatch)->Arg(2)->Arg(4)->UseRealTime();
+
+// The same fork-join when every worker has parked: each call comes 1 ms
+// after the last, well past the workers' spin window, so the time includes
+// the wake path. Only the call itself is timed, and the iteration count is
+// fixed because the sleeps do not count toward the benchmark's time budget.
+void BM_PoolDispatchParked(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  util::ComputePool& pool = util::ComputePool::instance();
+  pool.resize(threads);
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::uint64_t start = telemetry::now_ns();
+    pool.run_tasks(threads, [](std::size_t t) { benchmark::DoNotOptimize(t); });
+    state.SetIterationTime(
+        static_cast<double>(telemetry::now_ns() - start) * 1e-9);
+  }
+  pool.resize(util::ComputePool::env_threads());
+}
+BENCHMARK(BM_PoolDispatchParked)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Iterations(1000);
 
 void BM_GemmTransposed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -163,13 +203,30 @@ void BM_CycleGanTrainStep(benchmark::State& state) {
   std::vector<std::size_t> view(dataset.size());
   std::iota(view.begin(), view.end(), 0);
   data::MiniBatchReader reader(dataset, view, 128, 7);
+  util::ComputePool::instance().resize(
+      static_cast<std::size_t>(state.range(0)));
+  const double cpu_start = process_cpu_seconds();
   for (auto _ : state) {
     const auto metrics = model.train_step(reader.next());
     benchmark::DoNotOptimize(metrics.fidelity_loss);
   }
+  // The whole process's CPU time, workers included, next to the real time
+  // a step took: what the team's speed costs in cores.
+  state.counters["cpu_s_per_step"] =
+      (process_cpu_seconds() - cpu_start) /
+      static_cast<double>(state.iterations());
   state.counters["params"] = static_cast<double>(model.parameter_count());
+  util::ComputePool::instance().resize(util::ComputePool::env_threads());
 }
-BENCHMARK(BM_CycleGanTrainStep);
+// Team sizes 1 and the default; real time, since the workers' time does
+// not show on the calling thread's CPU clock.
+BENCHMARK(BM_CycleGanTrainStep)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      b->Arg(1);
+      const std::size_t team = util::ComputePool::env_threads();
+      if (team != 1) b->Arg(static_cast<std::int64_t>(team));
+    })
+    ->UseRealTime();
 
 void BM_DataStoreFetch(benchmark::State& state) {
   const auto dir =
@@ -264,7 +321,9 @@ void record_layer_gemm_gauge() {
 
 void record_gemm_scaling_gauges() {
   constexpr std::size_t kN = 512;
-  constexpr int kIters = 3;
+  // Each side is the median of kCalls timed calls, so one call that the
+  // host descheduled cannot move the ratio the gate reads.
+  constexpr int kCalls = 15;
   tensor::Tensor a(kN, kN), b(kN, kN), c(kN, kN);
   fill_random(a, 1);
   fill_random(b, 2);
@@ -276,14 +335,17 @@ void record_gemm_scaling_gauges() {
   auto measure = [&](std::size_t threads) {
     util::ComputePool::instance().resize(threads);
     tensor::matmul(a, b, c);  // warm-up (pack buffers, page faults)
-    const std::uint64_t start = telemetry::now_ns();
-    for (int i = 0; i < kIters; ++i) {
+    std::vector<double> seconds;
+    for (int i = 0; i < kCalls; ++i) {
+      const std::uint64_t start = telemetry::now_ns();
       tensor::matmul(a, b, c);
       benchmark::DoNotOptimize(c.raw());
+      seconds.push_back(static_cast<double>(telemetry::now_ns() - start) *
+                        1e-9);
     }
-    const double seconds =
-        static_cast<double>(telemetry::now_ns() - start) * 1e-9;
-    return flops * kIters / seconds / 1e9;
+    std::nth_element(seconds.begin(), seconds.begin() + kCalls / 2,
+                     seconds.end());
+    return flops / seconds[kCalls / 2] / 1e9;
   };
   const double serial = measure(1);
   const double pool4 = measure(4);

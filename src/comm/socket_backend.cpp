@@ -20,6 +20,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/annotations.hpp"
+#include "util/compute_pool.hpp"
 #include "util/rng.hpp"
 
 namespace ltfb::comm {
@@ -671,6 +672,14 @@ std::vector<SpawnedRank> spawn_socket_mesh(
     ready_pipe = {fds[0], fds[1]};
   }
   std::vector<pid_t> pids(static_cast<std::size_t>(size), -1);
+  // Fork from a team of one: no compute worker is alive at any fork, so a
+  // child inherits a consistent team with nothing to join, and a thread
+  // sanitizer sees a single-threaded parent. The parent gets its team size
+  // back after the last fork; a failed fork leaves it at 1, which changes
+  // no result.
+  util::ComputePool& team = util::ComputePool::instance();
+  const std::size_t team_size = team.size();
+  team.resize(1);
   for (int r = 0; r < size; ++r) {
     const pid_t pid = ::fork();
     LTFB_CHECK_MSG(pid >= 0, "fork failed: " << std::strerror(errno));
@@ -707,6 +716,7 @@ std::vector<SpawnedRank> spawn_socket_mesh(
     }
     pids[static_cast<std::size_t>(r)] = pid;
   }
+  team.resize(team_size);
   for (const auto& row : mesh) {
     for (const int fd : row) {
       if (fd >= 0) ::close(fd);

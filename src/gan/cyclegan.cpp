@@ -143,10 +143,14 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   metrics.discriminator_loss = 0.5 * d_loss;
 
   // ---- phase 3: generator (forward + inverse) -------------------------------
+  // Dec and D only carry gradient back into F here: their backward passes
+  // compute input gradients alone, since their weights do not step in
+  // this phase and the next phase to step them zeroes their gradients
+  // first.
   forward_.zero_gradients();
   inverse_.zero_gradients();
-  decoder_.zero_gradients();       // participates in the fidelity path only
-  discriminator_.zero_gradients();  // gradients through D are discarded
+  decoder_.zero_gradients();
+  discriminator_.zero_gradients();
   if (loss_scale_) loss_scale_->begin_step();
 
   forward_.forward({&batch.inputs}, true);
@@ -160,7 +164,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   tensor::scale(config_.lambda_fidelity, fid_grad.data());
   scale_loss_grad(fid_grad);
   decoder_.add_output_gradient(decoder_out_, fid_grad);
-  decoder_.backward();
+  decoder_.backward_inputs();
   forward_.add_output_gradient(forward_out_, decoder_.input_gradient(0));
 
   // (b) physical consistency: fool the critic — BCE(D(F(x)), real).
@@ -171,7 +175,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   tensor::scale(config_.lambda_adversarial, adv_grad.data());
   scale_loss_grad(adv_grad);
   discriminator_.add_output_gradient(disc_out_, adv_grad);
-  discriminator_.backward();
+  discriminator_.backward_inputs();
   forward_.add_output_gradient(forward_out_, discriminator_.input_gradient(0));
 
   // (c) latent consistency: pin F's latents to the autoencoder's latent

@@ -177,13 +177,13 @@ class CycleGan {
   using GradientSync = std::function<void(const std::vector<nn::Model*>&)>;
   void set_gradient_sync(GradientSync sync) { sync_ = std::move(sync); }
 
-  /// Comm/compute overlap seam: fires per weights object during the FINAL
-  /// backward pass of each model that the following GradientSync covers
-  /// (nn::Model::backward(hook) semantics), so a bucketed all-reduce can
-  /// start shipping a layer's gradients while earlier layers are still
-  /// differentiating. Backward passes whose gradients are discarded (the
-  /// generator phase's decoder/discriminator passes) and accumulating
-  /// first passes (the discriminator's real-batch pass) never see the hook.
+  /// Gradient hand-off seam: fires per weights object at the end of the
+  /// FINAL backward pass of each model that the following GradientSync
+  /// covers (nn::Model::backward(hook) semantics), so a bucketed all-reduce
+  /// can pack and launch a layer's gradients as the hook reaches it.
+  /// Data-only passes (the generator phase's decoder/discriminator passes)
+  /// and accumulating first passes (the discriminator's real-batch pass)
+  /// never see the hook.
   using BackwardHook = nn::Model::BackwardHook;
   void set_backward_hook(BackwardHook hook) {
     backward_hook_ = std::move(hook);

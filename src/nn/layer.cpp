@@ -7,6 +7,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
+#include "util/error.hpp"
 
 namespace ltfb::nn {
 
@@ -65,7 +66,39 @@ void activation_backward_from_output(ActivationKind kind, float leaky_slope,
   }
 }
 
+// Copies rows [row_begin, row_end) of `src`'s columns [col, col + width)
+// into the same rows of `dst`'s columns [dst_col, dst_col + width).
+void copy_columns(const tensor::Tensor& src, std::size_t col,
+                  tensor::Tensor& dst, std::size_t dst_col, std::size_t width,
+                  std::size_t row_begin, std::size_t row_end) {
+  const std::size_t src_cols = src.cols();
+  const std::size_t dst_cols = dst.cols();
+  for (std::size_t r = row_begin; r < row_end; ++r) {
+    std::copy_n(src.raw() + r * src_cols + col, width,
+                dst.raw() + r * dst_cols + dst_col);
+  }
+}
+
 }  // namespace
+
+void ensure_shape(tensor::Tensor& t, std::size_t rows, std::size_t cols) {
+  if (t.rank() == 2 && t.rows() == rows && t.cols() == cols) return;
+  t.resize({rows, cols});
+}
+
+// ---- Layer -----------------------------------------------------------------
+
+void Layer::prepare_forward(std::size_t rows, bool /*training*/) {
+  ensure_shape(output_, rows, output_width());
+}
+
+void Layer::prepare_backward(std::size_t /*rows*/, bool /*weight_gradients*/) {
+}
+
+void Layer::run_weight_task(std::size_t task, LayerInputs /*inputs*/,
+                            const tensor::Tensor& /*grad_output*/) {
+  LTFB_CHECK_MSG(false, type() << " layer has no weight task " << task);
+}
 
 // ---- InputLayer ------------------------------------------------------------
 
@@ -74,17 +107,15 @@ void InputLayer::setup(const std::vector<std::size_t>& input_widths,
   LTFB_CHECK_MSG(input_widths.empty(), "input layers have no parents");
 }
 
-void InputLayer::forward(const std::vector<const tensor::Tensor*>& /*inputs*/,
-                         bool /*training*/) {
-  // The model writes batch data straight into output_; nothing to do.
+void InputLayer::forward_rows(LayerInputs inputs, std::size_t row_begin,
+                              std::size_t row_end) {
+  copy_columns(*inputs[0], 0, output_, 0, width_, row_begin, row_end);
 }
 
-void InputLayer::backward(
-    const std::vector<const tensor::Tensor*>& /*inputs*/,
-    const tensor::Tensor& /*grad_output*/,
-    std::vector<tensor::Tensor>& grad_inputs) {
-  grad_inputs.clear();
-}
+void InputLayer::backward_rows(
+    LayerInputs /*inputs*/, const tensor::Tensor& /*grad_output*/,
+    std::span<tensor::Tensor* const> /*grad_inputs*/,
+    std::size_t /*row_begin*/, std::size_t /*row_end*/) {}
 
 // ---- FullyConnected --------------------------------------------------------
 
@@ -113,57 +144,83 @@ std::string FullyConnected::type() const {
   return std::string("fully_connected_") + to_string(act_);
 }
 
-void FullyConnected::forward(const std::vector<const tensor::Tensor*>& inputs,
-                             bool /*training*/) {
+void FullyConnected::prepare_forward(std::size_t rows, bool training) {
+  Layer::prepare_forward(rows, training);
+  weights_panel_.pack(tensor::Op::None, weights_[0]->values());
+}
+
+void FullyConnected::forward_rows(LayerInputs inputs, std::size_t row_begin,
+                                  std::size_t row_end) {
   const tensor::Tensor& x = *inputs[0];
   LTFB_CHECK_MSG(x.cols() == in_width_, "fully_connected input width "
                                             << x.cols() << " != "
                                             << in_width_);
-  output_.resize({x.rows(), out_width_});
   // Bias and the fused activation both ride the gemm epilogue: one pass
   // over the output instead of up to three.
   tensor::Epilogue ep;
   ep.bias = has_bias_ ? weights_[1]->values().raw() : nullptr;
   ep.act = has_act_ ? to_epilogue(act_) : tensor::EpilogueAct::None;
   ep.leaky_slope = leaky_slope_;
-  tensor::gemm(tensor::Op::None, tensor::Op::None, 1.0f, x,
-               weights_[0]->values(), 0.0f, output_, ep);
+  tensor::gemm_rows(tensor::Op::None, 1.0f, x, weights_panel_, 0.0f, output_,
+                    row_begin, row_end, ep);
 }
 
-void FullyConnected::backward(
-    const std::vector<const tensor::Tensor*>& inputs,
-    const tensor::Tensor& grad_output,
-    std::vector<tensor::Tensor>& grad_inputs) {
-  const tensor::Tensor& x = *inputs[0];
+void FullyConnected::prepare_backward(std::size_t rows,
+                                      bool weight_gradients) {
+  if (has_act_) ensure_shape(grad_z_, rows, out_width_);
+  if (propagates_gradient()) {
+    weights_t_panel_.pack(tensor::Op::Transpose, weights_[0]->values());
+  }
+  weight_gradients_ = weight_gradients;
+  if (weight_gradients_) grad_z_panel_.reshape(rows, out_width_);
+}
+
+void FullyConnected::backward_rows(
+    LayerInputs /*inputs*/, const tensor::Tensor& grad_output,
+    std::span<tensor::Tensor* const> grad_inputs, std::size_t row_begin,
+    std::size_t row_end) {
   // With a fused activation the incoming gradient is dL/dy; convert to
   // dL/dz (z = XW + b) first, exactly as a separate Activation layer's
   // backward would have.
-  tensor::Tensor grad_z;
   const tensor::Tensor* gz = &grad_output;
   if (has_act_) {
-    grad_z.resize(grad_output.shape());
-    activation_backward_from_output(act_, leaky_slope_, output_.raw(),
-                                    grad_output.raw(), grad_z.raw(),
-                                    grad_output.size());
-    gz = &grad_z;
+    const std::size_t first = row_begin * out_width_;
+    activation_backward_from_output(
+        act_, leaky_slope_, output_.raw() + first, grad_output.raw() + first,
+        grad_z_.raw() + first, (row_end - row_begin) * out_width_);
+    gz = &grad_z_;
   }
-  // dW += X^T dZ (accumulate so multiple backward passes sum, as in LBANN).
-  tensor::gemm(tensor::Op::Transpose, tensor::Op::None, 1.0f, x, *gz, 1.0f,
-               weights_[0]->gradient());
-  if (has_bias_) {
-    tensor::Tensor col_sums({out_width_});
-    tensor::column_sums(*gz, col_sums.data());
-    tensor::axpy(1.0f, col_sums.data(), weights_[1]->gradient().data());
-  }
+  if (weight_gradients_) grad_z_panel_.pack_rows(*gz, row_begin, row_end);
   // dX = dZ W^T, unless the input is data that takes no gradient.
-  if (!propagates_gradient()) {
-    grad_inputs.clear();
+  if (grad_inputs[0] != nullptr) {
+    tensor::gemm_rows(tensor::Op::None, 1.0f, *gz, weights_t_panel_, 0.0f,
+                      *grad_inputs[0], row_begin, row_end);
+  }
+}
+
+std::size_t FullyConnected::dw_row_blocks() const noexcept {
+  return (in_width_ + tensor::kGemmRowBlock - 1) / tensor::kGemmRowBlock;
+}
+
+std::size_t FullyConnected::weight_tasks() const {
+  if (!weight_gradients_) return 0;
+  return dw_row_blocks() + (has_bias_ ? 1 : 0);
+}
+
+void FullyConnected::run_weight_task(std::size_t task, LayerInputs inputs,
+                                     const tensor::Tensor& grad_output) {
+  if (task < dw_row_blocks()) {
+    // Rows of dW += X^T dZ (accumulate so multiple backward passes sum, as
+    // in LBANN). Each element sums the whole batch in one k-blocked chain.
+    const std::size_t first = task * tensor::kGemmRowBlock;
+    tensor::gemm_rows(tensor::Op::Transpose, 1.0f, *inputs[0], grad_z_panel_,
+                      1.0f, weights_[0]->gradient(), first,
+                      std::min(in_width_, first + tensor::kGemmRowBlock));
     return;
   }
-  grad_inputs.resize(1);
-  grad_inputs[0].resize({x.rows(), in_width_});
-  tensor::gemm(tensor::Op::None, tensor::Op::Transpose, 1.0f, *gz,
-               weights_[0]->values(), 0.0f, grad_inputs[0]);
+  ensure_shape(bias_sums_, 1, out_width_);
+  tensor::column_sums(has_act_ ? grad_z_ : grad_output, bias_sums_.data());
+  tensor::axpy(1.0f, bias_sums_.data(), weights_[1]->gradient().data());
 }
 
 // ---- Activation ------------------------------------------------------------
@@ -184,13 +241,12 @@ void Activation::setup(const std::vector<std::size_t>& input_widths,
   width_ = input_widths[0];
 }
 
-void Activation::forward(const std::vector<const tensor::Tensor*>& inputs,
-                         bool /*training*/) {
-  const tensor::Tensor& x = *inputs[0];
-  output_.resize(x.shape());
-  const float* xp = x.raw();
-  float* yp = output_.raw();
-  const std::size_t n = x.size();
+void Activation::forward_rows(LayerInputs inputs, std::size_t row_begin,
+                              std::size_t row_end) {
+  const std::size_t first = row_begin * width_;
+  const float* xp = inputs[0]->raw() + first;
+  float* yp = output_.raw() + first;
+  const std::size_t n = (row_end - row_begin) * width_;
   using tensor::simd::vf;
   constexpr std::size_t kW = tensor::simd::kNativeWidth;
   const std::size_t ve = tensor::simd::main_loop_bound(n);
@@ -226,18 +282,18 @@ void Activation::forward(const std::vector<const tensor::Tensor*>& inputs,
   }
 }
 
-void Activation::backward(
-    const std::vector<const tensor::Tensor*>& /*inputs*/,
-    const tensor::Tensor& grad_output,
-    std::vector<tensor::Tensor>& grad_inputs) {
-  grad_inputs.resize(1);
-  grad_inputs[0].resize(grad_output.shape());
+void Activation::backward_rows(LayerInputs /*inputs*/,
+                               const tensor::Tensor& grad_output,
+                               std::span<tensor::Tensor* const> grad_inputs,
+                               std::size_t row_begin, std::size_t row_end) {
+  if (grad_inputs[0] == nullptr) return;
   // The output-based derivative is identical to the input-based one for
   // every kind (for relu/leaky, y > 0 iff x > 0), so the standalone layer
   // shares the fused-dense backward kernel.
-  activation_backward_from_output(kind_, leaky_slope_, output_.raw(),
-                                  grad_output.raw(), grad_inputs[0].raw(),
-                                  grad_output.size());
+  const std::size_t first = row_begin * width_;
+  activation_backward_from_output(
+      kind_, leaky_slope_, output_.raw() + first, grad_output.raw() + first,
+      grad_inputs[0]->raw() + first, (row_end - row_begin) * width_);
 }
 
 // ---- Dropout ---------------------------------------------------------------
@@ -252,39 +308,51 @@ void Dropout::setup(const std::vector<std::size_t>& input_widths,
   rng_ = util::Rng(rng.engine()());
 }
 
-void Dropout::forward(const std::vector<const tensor::Tensor*>& inputs,
-                      bool training) {
-  const tensor::Tensor& x = *inputs[0];
-  output_.resize(x.shape());
-  if (!training || drop_probability_ == 0.0f) {
-    std::copy(x.data().begin(), x.data().end(), output_.data().begin());
-    mask_.resize({0, 0});
-    return;
-  }
-  mask_.resize(x.shape());
+void Dropout::prepare_forward(std::size_t rows, bool training) {
+  Layer::prepare_forward(rows, training);
+  masked_ = training && drop_probability_ != 0.0f;
+  if (!masked_) return;
+  // One draw per element in index order, whatever the row shards, so the
+  // mask is the same at every team size.
+  ensure_shape(mask_, rows, width_);
   const float keep = 1.0f - drop_probability_;
   const float inv_keep = 1.0f / keep;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float m = rng_.bernoulli(keep) ? inv_keep : 0.0f;
-    mask_[i] = m;
-    output_[i] = x[i] * m;
-  }
+  for (float& m : mask_.data()) m = rng_.bernoulli(keep) ? inv_keep : 0.0f;
 }
 
-void Dropout::backward(const std::vector<const tensor::Tensor*>& /*inputs*/,
-                       const tensor::Tensor& grad_output,
-                       std::vector<tensor::Tensor>& grad_inputs) {
-  grad_inputs.resize(1);
-  grad_inputs[0].resize(grad_output.shape());
-  if (mask_.empty()) {  // eval-mode pass
-    std::copy(grad_output.data().begin(), grad_output.data().end(),
-              grad_inputs[0].data().begin());
+void Dropout::forward_rows(LayerInputs inputs, std::size_t row_begin,
+                           std::size_t row_end) {
+  const std::size_t first = row_begin * width_;
+  const std::size_t last = row_end * width_;
+  const float* xp = inputs[0]->raw();
+  float* yp = output_.raw();
+  if (!masked_) {
+    std::copy(xp + first, xp + last, yp + first);
     return;
   }
-  LTFB_CHECK(mask_.same_shape(grad_output));
-  for (std::size_t i = 0; i < grad_output.size(); ++i) {
-    grad_inputs[0][i] = grad_output[i] * mask_[i];
+  const float* mp = mask_.raw();
+  for (std::size_t i = first; i < last; ++i) yp[i] = xp[i] * mp[i];
+}
+
+void Dropout::prepare_backward(std::size_t rows, bool /*weight_gradients*/) {
+  LTFB_CHECK(!masked_ || mask_.rows() == rows);
+}
+
+void Dropout::backward_rows(LayerInputs /*inputs*/,
+                            const tensor::Tensor& grad_output,
+                            std::span<tensor::Tensor* const> grad_inputs,
+                            std::size_t row_begin, std::size_t row_end) {
+  if (grad_inputs[0] == nullptr) return;
+  const std::size_t first = row_begin * width_;
+  const std::size_t last = row_end * width_;
+  const float* gp = grad_output.raw();
+  float* dp = grad_inputs[0]->raw();
+  if (!masked_) {  // eval-mode pass
+    std::copy(gp + first, gp + last, dp + first);
+    return;
   }
+  const float* mp = mask_.raw();
+  for (std::size_t i = first; i < last; ++i) dp[i] = gp[i] * mp[i];
 }
 
 // ---- Concat ----------------------------------------------------------------
@@ -297,38 +365,27 @@ void Concat::setup(const std::vector<std::size_t>& input_widths,
   for (const auto w : input_widths_) width_ += w;
 }
 
-void Concat::forward(const std::vector<const tensor::Tensor*>& inputs,
-                     bool /*training*/) {
-  const std::size_t batch = inputs[0]->rows();
-  output_.resize({batch, width_});
-  for (std::size_t r = 0; r < batch; ++r) {
-    float* out_row = output_.raw() + r * width_;
-    std::size_t offset = 0;
-    for (std::size_t p = 0; p < inputs.size(); ++p) {
-      LTFB_ASSERT(inputs[p]->rows() == batch);
-      const auto row = inputs[p]->row(r);
-      std::copy(row.begin(), row.end(), out_row + offset);
-      offset += input_widths_[p];
-    }
+void Concat::forward_rows(LayerInputs inputs, std::size_t row_begin,
+                          std::size_t row_end) {
+  std::size_t offset = 0;
+  for (std::size_t p = 0; p < inputs.size(); ++p) {
+    copy_columns(*inputs[p], 0, output_, offset, input_widths_[p], row_begin,
+                 row_end);
+    offset += input_widths_[p];
   }
 }
 
-void Concat::backward(const std::vector<const tensor::Tensor*>& inputs,
-                      const tensor::Tensor& grad_output,
-                      std::vector<tensor::Tensor>& grad_inputs) {
-  const std::size_t batch = grad_output.rows();
-  grad_inputs.resize(inputs.size());
-  for (std::size_t p = 0; p < inputs.size(); ++p) {
-    grad_inputs[p].resize({batch, input_widths_[p]});
-  }
-  for (std::size_t r = 0; r < batch; ++r) {
-    const float* grad_row = grad_output.raw() + r * width_;
-    std::size_t offset = 0;
-    for (std::size_t p = 0; p < inputs.size(); ++p) {
-      std::copy_n(grad_row + offset, input_widths_[p],
-                  grad_inputs[p].raw() + r * input_widths_[p]);
-      offset += input_widths_[p];
+void Concat::backward_rows(LayerInputs /*inputs*/,
+                           const tensor::Tensor& grad_output,
+                           std::span<tensor::Tensor* const> grad_inputs,
+                           std::size_t row_begin, std::size_t row_end) {
+  std::size_t offset = 0;
+  for (std::size_t p = 0; p < grad_inputs.size(); ++p) {
+    if (grad_inputs[p] != nullptr) {
+      copy_columns(grad_output, offset, *grad_inputs[p], 0, input_widths_[p],
+                   row_begin, row_end);
     }
+    offset += input_widths_[p];
   }
 }
 
@@ -343,29 +400,23 @@ void Slice::setup(const std::vector<std::size_t>& input_widths,
                            << parent_width_ << " features");
 }
 
-void Slice::forward(const std::vector<const tensor::Tensor*>& inputs,
-                    bool /*training*/) {
-  const tensor::Tensor& x = *inputs[0];
-  const std::size_t batch = x.rows();
-  const std::size_t w = end_ - begin_;
-  output_.resize({batch, w});
-  for (std::size_t r = 0; r < batch; ++r) {
-    std::copy_n(x.raw() + r * parent_width_ + begin_, w,
-                output_.raw() + r * w);
-  }
+void Slice::forward_rows(LayerInputs inputs, std::size_t row_begin,
+                         std::size_t row_end) {
+  copy_columns(*inputs[0], begin_, output_, 0, end_ - begin_, row_begin,
+               row_end);
 }
 
-void Slice::backward(const std::vector<const tensor::Tensor*>& inputs,
-                     const tensor::Tensor& grad_output,
-                     std::vector<tensor::Tensor>& grad_inputs) {
-  const std::size_t batch = grad_output.rows();
-  const std::size_t w = end_ - begin_;
-  grad_inputs.resize(1);
-  grad_inputs[0].resize(inputs[0]->shape());
-  for (std::size_t r = 0; r < batch; ++r) {
-    std::copy_n(grad_output.raw() + r * w, w,
-                grad_inputs[0].raw() + r * parent_width_ + begin_);
-  }
+void Slice::backward_rows(LayerInputs /*inputs*/,
+                          const tensor::Tensor& grad_output,
+                          std::span<tensor::Tensor* const> grad_inputs,
+                          std::size_t row_begin, std::size_t row_end) {
+  tensor::Tensor* grad_input = grad_inputs[0];
+  if (grad_input == nullptr) return;
+  // Features outside the slice take a zero gradient.
+  std::fill(grad_input->raw() + row_begin * parent_width_,
+            grad_input->raw() + row_end * parent_width_, 0.0f);
+  copy_columns(grad_output, 0, *grad_input, begin_, end_ - begin_, row_begin,
+               row_end);
 }
 
 }  // namespace ltfb::nn

@@ -8,15 +8,33 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "nn/weights.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace ltfb::nn {
 
+/// A layer's parent outputs, in parent order. An input layer's one entry
+/// is the mini-batch tensor bound to it for the pass.
+using LayerInputs = std::span<const tensor::Tensor* const>;
+
+/// Gives `t` the shape rows x cols, reallocating only when the shape
+/// changes; the contents are unspecified afterwards.
+void ensure_shape(tensor::Tensor& t, std::size_t rows, std::size_t cols);
+
+/// A layer runs inside model passes over row shards of the batch. Each pass
+/// first calls the layer's prepare step once, on the calling thread, for
+/// the work that needs the whole batch (sizing buffers, packing weight
+/// panels, drawing dropout masks). Then every shard runs its rows through
+/// every layer, and shards may run concurrently. A row's forward values
+/// and data gradients never depend on other rows, so every row computes
+/// the same bits whatever shard it lands in. Weight gradients sum over the
+/// whole batch and run afterwards, as independent weight tasks.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -30,23 +48,41 @@ class Layer {
 
   virtual std::size_t output_width() const = 0;
 
-  /// Computes output_ from the parent outputs. `training` toggles
-  /// stochastic layers (Dropout).
-  virtual void forward(const std::vector<const tensor::Tensor*>& inputs,
-                       bool training) = 0;
+  /// Once per forward pass of a `rows`-row batch, before any rows run:
+  /// sizes the output. `training` toggles stochastic layers (Dropout).
+  virtual void prepare_forward(std::size_t rows, bool training);
 
-  /// Accumulates parameter gradients and fills grad_inputs (one tensor per
-  /// parent, same shape as that parent's output).
-  virtual void backward(const std::vector<const tensor::Tensor*>& inputs,
-                        const tensor::Tensor& grad_output,
-                        std::vector<tensor::Tensor>& grad_inputs) = 0;
+  /// Output rows [row_begin, row_end) from the same rows of the parents.
+  virtual void forward_rows(LayerInputs inputs, std::size_t row_begin,
+                            std::size_t row_end) = 0;
+
+  /// Once per backward pass, before any rows run. `weight_gradients`
+  /// says whether the pass goes on to this layer's weight tasks.
+  virtual void prepare_backward(std::size_t rows, bool weight_gradients);
+
+  /// The data gradients of rows [row_begin, row_end): from those rows of
+  /// dL/d(output), writes the same rows of dL/d(parent p) into
+  /// *grad_inputs[p], skipping parents whose entry is null.
+  virtual void backward_rows(LayerInputs inputs,
+                             const tensor::Tensor& grad_output,
+                             std::span<tensor::Tensor* const> grad_inputs,
+                             std::size_t row_begin,
+                             std::size_t row_end) = 0;
+
+  /// Independent tasks that accumulate the weight gradients of the last
+  /// backward pass over its whole batch; they run after every row of that
+  /// pass's data gradients. Zero for weightless layers and for passes
+  /// prepared without weight gradients.
+  virtual std::size_t weight_tasks() const { return 0; }
+  virtual void run_weight_task(std::size_t task, LayerInputs inputs,
+                               const tensor::Tensor& grad_output);
 
   const tensor::Tensor& output() const noexcept { return output_; }
-  tensor::Tensor& mutable_output() noexcept { return output_; }
 
   /// False when no parent takes a gradient (every parent is a data input,
-  /// or fed only by data inputs): backward() may then skip grad_inputs and
-  /// leave it empty. Set by the model when the layer joins it.
+  /// or fed only by data inputs): backward then computes no dL/d(parent)
+  /// and gets only null grad_inputs. Set by the model when the layer joins
+  /// it.
   bool propagates_gradient() const noexcept { return propagates_gradient_; }
   void set_propagates_gradient(bool propagates) noexcept {
     propagates_gradient_ = propagates;
@@ -67,7 +103,7 @@ class Layer {
   bool propagates_gradient_ = true;
 };
 
-/// Source layer; the model copies mini-batch data into its output.
+/// Source layer: its forward copies rows of the mini-batch bound to it.
 class InputLayer final : public Layer {
  public:
   explicit InputLayer(std::size_t width) : width_(width) {}
@@ -75,11 +111,11 @@ class InputLayer final : public Layer {
   void setup(const std::vector<std::size_t>& input_widths,
              util::Rng& rng) override;
   std::size_t output_width() const override { return width_; }
-  void forward(const std::vector<const tensor::Tensor*>& inputs,
-               bool training) override;
-  void backward(const std::vector<const tensor::Tensor*>& inputs,
-                const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+  void forward_rows(LayerInputs inputs, std::size_t row_begin,
+                    std::size_t row_end) override;
+  void backward_rows(LayerInputs inputs, const tensor::Tensor& grad_output,
+                     std::span<tensor::Tensor* const> grad_inputs,
+                     std::size_t row_begin, std::size_t row_end) override;
 
  private:
   std::size_t width_;
@@ -118,13 +154,21 @@ class FullyConnected final : public Layer {
   void setup(const std::vector<std::size_t>& input_widths,
              util::Rng& rng) override;
   std::size_t output_width() const override { return out_width_; }
-  void forward(const std::vector<const tensor::Tensor*>& inputs,
-               bool training) override;
-  void backward(const std::vector<const tensor::Tensor*>& inputs,
-                const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+  void prepare_forward(std::size_t rows, bool training) override;
+  void prepare_backward(std::size_t rows, bool weight_gradients) override;
+  void forward_rows(LayerInputs inputs, std::size_t row_begin,
+                    std::size_t row_end) override;
+  void backward_rows(LayerInputs inputs, const tensor::Tensor& grad_output,
+                     std::span<tensor::Tensor* const> grad_inputs,
+                     std::size_t row_begin, std::size_t row_end) override;
+  /// dW row blocks (kGemmRowBlock rows of W each), then the bias sum.
+  std::size_t weight_tasks() const override;
+  void run_weight_task(std::size_t task, LayerInputs inputs,
+                       const tensor::Tensor& grad_output) override;
 
  private:
+  std::size_t dw_row_blocks() const noexcept;
+
   std::size_t in_width_ = 0;
   std::size_t out_width_;
   bool has_bias_;
@@ -132,6 +176,16 @@ class FullyConnected final : public Layer {
   bool has_act_ = false;
   ActivationKind act_ = ActivationKind::Relu;
   float leaky_slope_ = 0.01f;
+
+  // Packed once per pass and shared by every row shard: op(B) = W for the
+  // forward GEMM, W^T for dX, and dZ (packed by rows as the data
+  // gradients produce them) for dW = X^T dZ.
+  tensor::PackedB weights_panel_;
+  tensor::PackedB weights_t_panel_;
+  tensor::PackedB grad_z_panel_;
+  tensor::Tensor grad_z_;  // dL/dZ when the activation is fused
+  tensor::Tensor bias_sums_;
+  bool weight_gradients_ = false;
 };
 
 class Activation final : public Layer {
@@ -142,11 +196,11 @@ class Activation final : public Layer {
   void setup(const std::vector<std::size_t>& input_widths,
              util::Rng& rng) override;
   std::size_t output_width() const override { return width_; }
-  void forward(const std::vector<const tensor::Tensor*>& inputs,
-               bool training) override;
-  void backward(const std::vector<const tensor::Tensor*>& inputs,
-                const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+  void forward_rows(LayerInputs inputs, std::size_t row_begin,
+                    std::size_t row_end) override;
+  void backward_rows(LayerInputs inputs, const tensor::Tensor& grad_output,
+                     std::span<tensor::Tensor* const> grad_inputs,
+                     std::size_t row_begin, std::size_t row_end) override;
   ActivationKind kind() const noexcept { return kind_; }
 
  private:
@@ -165,17 +219,21 @@ class Dropout final : public Layer {
   void setup(const std::vector<std::size_t>& input_widths,
              util::Rng& rng) override;
   std::size_t output_width() const override { return width_; }
-  void forward(const std::vector<const tensor::Tensor*>& inputs,
-               bool training) override;
-  void backward(const std::vector<const tensor::Tensor*>& inputs,
-                const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+  /// Draws the whole batch's mask, in index order, before any rows run.
+  void prepare_forward(std::size_t rows, bool training) override;
+  void prepare_backward(std::size_t rows, bool weight_gradients) override;
+  void forward_rows(LayerInputs inputs, std::size_t row_begin,
+                    std::size_t row_end) override;
+  void backward_rows(LayerInputs inputs, const tensor::Tensor& grad_output,
+                     std::span<tensor::Tensor* const> grad_inputs,
+                     std::size_t row_begin, std::size_t row_end) override;
 
  private:
   float drop_probability_;
   std::size_t width_ = 0;
   util::Rng rng_;
   tensor::Tensor mask_;
+  bool masked_ = false;  // the last forward pass was a training pass
 };
 
 /// Feature-wise concatenation of all parents.
@@ -185,11 +243,11 @@ class Concat final : public Layer {
   void setup(const std::vector<std::size_t>& input_widths,
              util::Rng& rng) override;
   std::size_t output_width() const override { return width_; }
-  void forward(const std::vector<const tensor::Tensor*>& inputs,
-               bool training) override;
-  void backward(const std::vector<const tensor::Tensor*>& inputs,
-                const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+  void forward_rows(LayerInputs inputs, std::size_t row_begin,
+                    std::size_t row_end) override;
+  void backward_rows(LayerInputs inputs, const tensor::Tensor& grad_output,
+                     std::span<tensor::Tensor* const> grad_inputs,
+                     std::size_t row_begin, std::size_t row_end) override;
 
  private:
   std::vector<std::size_t> input_widths_;
@@ -204,11 +262,11 @@ class Slice final : public Layer {
   void setup(const std::vector<std::size_t>& input_widths,
              util::Rng& rng) override;
   std::size_t output_width() const override { return end_ - begin_; }
-  void forward(const std::vector<const tensor::Tensor*>& inputs,
-               bool training) override;
-  void backward(const std::vector<const tensor::Tensor*>& inputs,
-                const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+  void forward_rows(LayerInputs inputs, std::size_t row_begin,
+                    std::size_t row_end) override;
+  void backward_rows(LayerInputs inputs, const tensor::Tensor& grad_output,
+                     std::span<tensor::Tensor* const> grad_inputs,
+                     std::size_t row_begin, std::size_t row_end) override;
 
  private:
   std::size_t begin_, end_;

@@ -3,8 +3,36 @@
 #include <algorithm>
 
 #include "tensor/ops.hpp"
+#include "util/compute_pool.hpp"
 
 namespace ltfb::nn {
+
+namespace {
+
+// Elements per optimizer-update task. Below two chunks' worth of
+// parameters a model updates on the calling thread.
+constexpr std::size_t kUpdateGrain = 4096;
+
+// Rows per shard of a `rows`-row pass on a team of `team`: about two
+// shards per team member, so a thread that finishes early can claim
+// another, in whole 4-row register tiles. A team of one runs the batch as
+// one shard.
+std::size_t shard_rows(std::size_t rows, std::size_t team) {
+  if (team <= 1 || rows == 0) return std::max<std::size_t>(rows, 1);
+  constexpr std::size_t kTileRows = 4;
+  const std::size_t per = (rows + 2 * team - 1) / (2 * team);
+  return (per + kTileRows - 1) / kTileRows * kTileRows;
+}
+
+// Runs fn(row_begin, row_end) over the row shards of a `rows`-row pass as
+// one fork-join on the compute team.
+void for_row_shards(std::size_t rows,
+                    const std::function<void(std::size_t, std::size_t)>& fn) {
+  util::ComputePool& team = util::ComputePool::instance();
+  team.parallel_ranges(rows, shard_rows(rows, team.size()), fn);
+}
+
+}  // namespace
 
 Model::Model(std::string name, std::uint64_t seed)
     : name_(std::move(name)), rng_(seed) {}
@@ -35,8 +63,23 @@ LayerId Model::add(std::unique_ptr<Layer> layer, std::vector<LayerId> parents) {
     parameter_count_ += w->size();
   }
   const bool takes_grad = parent_takes_grad || !layer->weights().empty();
-  layers_.push_back(
-      Node{std::move(layer), std::move(parents), {}, false, takes_grad});
+  for (Weights* w : layer->weights()) {
+    update_chunks_.push_back(update_chunks_.back() +
+                             (w->size() + kUpdateGrain - 1) / kUpdateGrain);
+  }
+  Node node;
+  node.layer = std::move(layer);
+  node.parents = std::move(parents);
+  node.takes_grad = takes_grad;
+  if (node.parents.empty()) {
+    node.inputs.assign(1, nullptr);  // the batch, bound by forward()
+  }
+  for (const LayerId parent : node.parents) {
+    node.inputs.push_back(&layers_[parent].layer->output());
+  }
+  node.grad_targets.assign(node.parents.size(), nullptr);
+  node.edge_grads.resize(node.parents.size());
+  layers_.push_back(std::move(node));
   return id;
 }
 
@@ -69,37 +112,31 @@ void Model::set_optimizer(const OptimizerFactory& factory) {
   }
 }
 
-std::vector<const tensor::Tensor*> Model::parent_outputs(
-    const Node& node) const {
-  std::vector<const tensor::Tensor*> outputs;
-  outputs.reserve(node.parents.size());
-  for (const LayerId parent : node.parents) {
-    outputs.push_back(&layers_[parent].layer->output());
-  }
-  return outputs;
-}
-
 void Model::forward(const std::vector<const tensor::Tensor*>& inputs,
                     bool training) {
   LTFB_CHECK_MSG(inputs.size() == input_ids_.size(),
                  "model " << name_ << " expects " << input_ids_.size()
                           << " inputs, got " << inputs.size());
+  const std::size_t rows = inputs.empty() ? 0 : inputs[0]->rows();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const tensor::Tensor& in = *inputs[i];
-    Layer& input_layer = *layers_[input_ids_[i]].layer;
-    LTFB_CHECK_MSG(in.rank() == 2 && in.cols() == input_layer.output_width(),
+    Node& node = layers_[input_ids_[i]];
+    LTFB_CHECK_MSG(in.rank() == 2 &&
+                       in.cols() == node.layer->output_width() &&
+                       in.rows() == rows,
                    "input " << i << " has shape "
                             << tensor::shape_to_string(in.shape())
-                            << ", expected [*, "
-                            << input_layer.output_width() << "]");
-    input_layer.mutable_output().resize(in.shape());
-    std::copy(in.data().begin(), in.data().end(),
-              input_layer.mutable_output().data().begin());
+                            << ", expected [" << rows << ", "
+                            << node.layer->output_width() << "]");
+    node.inputs[0] = &in;
   }
-  for (auto& node : layers_) {
-    const auto parents = parent_outputs(node);
-    node.layer->forward(parents, training);
-  }
+  for (Node& node : layers_) node.layer->prepare_forward(rows, training);
+  for_row_shards(rows, [this](std::size_t begin, std::size_t end) {
+    for (Node& node : layers_) {
+      node.layer->forward_rows(node.inputs, begin, end);
+    }
+  });
+  batch_rows_ = rows;
 }
 
 const tensor::Tensor& Model::output(LayerId id) const {
@@ -121,7 +158,7 @@ void Model::add_output_gradient(LayerId id, const tensor::Tensor& grad) {
                  "gradient shape " << tensor::shape_to_string(grad.shape())
                                    << " != output shape of layer " << id);
   if (!node.has_grad) {
-    node.grad_accumulator.resize(grad.shape());
+    ensure_shape(node.grad_accumulator, grad.rows(), grad.cols());
     std::copy(grad.data().begin(), grad.data().end(),
               node.grad_accumulator.data().begin());
     node.has_grad = true;
@@ -130,29 +167,87 @@ void Model::add_output_gradient(LayerId id, const tensor::Tensor& grad) {
   }
 }
 
-void Model::backward() { backward(BackwardHook{}); }
+void Model::backward() { run_backward(true, BackwardHook{}); }
 
-void Model::backward(const BackwardHook& hook) {
-  std::vector<tensor::Tensor> grad_inputs;
+void Model::backward(const BackwardHook& hook) { run_backward(true, hook); }
+
+void Model::backward_inputs() { run_backward(false, BackwardHook{}); }
+
+void Model::run_backward(bool weight_gradients, const BackwardHook& hook) {
+  const std::size_t rows = batch_rows_;
+  // Plan the reverse sweep on the calling thread: which layers run, and
+  // for every parent edge whether its gradient is the first to reach the
+  // parent (written straight into the accumulator) or is added to one
+  // already there — the order the serial sweep delivered them in. A layer
+  // that passes no gradient on only has weight gradients to give, which a
+  // data-only pass skips.
   for (std::size_t i = layers_.size(); i-- > 0;) {
     Node& node = layers_[i];
-    if (!node.has_grad) continue;
-    const auto parents = parent_outputs(node);
-    grad_inputs.clear();
-    node.layer->backward(parents, node.grad_accumulator, grad_inputs);
-    if (hook) {
-      // This layer's weight gradients are final (only its own backward
-      // writes them): hand them to the overlap seam before computing the
-      // rest of the sweep.
-      for (Weights* w : node.layer->weights()) hook(*w);
-    }
-    if (!node.layer->propagates_gradient()) continue;
-    LTFB_CHECK(grad_inputs.size() == node.parents.size() ||
-               node.parents.empty());
+    const bool propagates = node.layer->propagates_gradient();
+    node.in_pass = node.has_grad && (weight_gradients || propagates);
+    std::fill(node.grad_targets.begin(), node.grad_targets.end(), nullptr);
+    if (!node.in_pass) continue;
+    node.layer->prepare_backward(rows, weight_gradients);
+    if (!propagates) continue;
     for (std::size_t p = 0; p < node.parents.size(); ++p) {
-      if (layers_[node.parents[p]].takes_grad) {
-        add_output_gradient(node.parents[p], grad_inputs[p]);
+      Node& parent = layers_[node.parents[p]];
+      if (!parent.takes_grad) continue;
+      const std::size_t width = parent.layer->output_width();
+      tensor::Tensor* target = &parent.grad_accumulator;
+      if (parent.has_grad) target = &node.edge_grads[p];
+      ensure_shape(*target, rows, width);
+      node.grad_targets[p] = target;
+      parent.has_grad = true;
+    }
+  }
+
+  // The data gradients: every shard sweeps its rows back through the
+  // layers, so a row's gradient reaches each parent in the serial order.
+  for_row_shards(rows, [this](std::size_t begin, std::size_t end) {
+    for (std::size_t i = layers_.size(); i-- > 0;) {
+      Node& node = layers_[i];
+      if (!node.in_pass) continue;
+      node.layer->backward_rows(node.inputs, node.grad_accumulator,
+                                node.grad_targets, begin, end);
+      for (std::size_t p = 0; p < node.parents.size(); ++p) {
+        if (node.grad_targets[p] != &node.edge_grads[p]) continue;
+        tensor::Tensor& into = layers_[node.parents[p]].grad_accumulator;
+        const std::size_t width = into.cols();
+        tensor::axpy(1.0f,
+                     node.edge_grads[p].data().subspan(begin * width,
+                                                       (end - begin) * width),
+                     into.data().subspan(begin * width, (end - begin) * width));
       }
+    }
+  });
+  if (!weight_gradients) return;
+
+  // The weight gradients of every layer that ran, as one task list.
+  weight_stage_.clear();
+  std::size_t tasks = 0;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    if (!layers_[i].in_pass) continue;
+    const std::size_t count = layers_[i].layer->weight_tasks();
+    if (count == 0) continue;
+    weight_stage_.emplace_back(i, tasks);
+    tasks += count;
+  }
+  util::ComputePool::instance().run_tasks(tasks, [this](std::size_t t) {
+    // weight_stage_ lists first tasks in increasing order.
+    const auto it = std::upper_bound(
+        weight_stage_.begin(), weight_stage_.end(), t,
+        [](std::size_t task, const std::pair<LayerId, std::size_t>& entry) {
+          return task < entry.second;
+        }) - 1;
+    Node& node = layers_[it->first];
+    node.layer->run_weight_task(t - it->second, node.inputs,
+                                node.grad_accumulator);
+  });
+
+  if (hook) {
+    for (std::size_t i = layers_.size(); i-- > 0;) {
+      if (!layers_[i].in_pass) continue;
+      for (Weights* w : layers_[i].layer->weights()) hook(*w);
     }
   }
 }
@@ -170,7 +265,27 @@ const tensor::Tensor& Model::input_gradient(std::size_t input_index) const {
 }
 
 void Model::apply_optimizer_step() {
-  for (Weights* w : weight_ptrs_) w->apply_step();
+  for (Weights* w : weight_ptrs_) {
+    if (Optimizer* optimizer = w->optimizer()) optimizer->begin_step(w->size());
+  }
+  auto update_chunk = [this](std::size_t chunk) {
+    const std::size_t w = static_cast<std::size_t>(
+        std::upper_bound(update_chunks_.begin(), update_chunks_.end(), chunk) -
+        update_chunks_.begin() - 1);
+    Weights& weights = *weight_ptrs_[w];
+    Optimizer* optimizer = weights.optimizer();
+    if (optimizer == nullptr) return;  // frozen weights
+    const std::size_t begin = (chunk - update_chunks_[w]) * kUpdateGrain;
+    const std::size_t end = std::min(weights.size(), begin + kUpdateGrain);
+    optimizer->update(weights.values().data(), weights.gradient().data(),
+                      begin, end);
+  };
+  const std::size_t chunks = update_chunks_.back();
+  if (parameter_count_ < 2 * kUpdateGrain) {
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk) update_chunk(chunk);
+  } else {
+    util::ComputePool::instance().run_tasks(chunks, update_chunk);
+  }
 }
 
 std::vector<float> Model::flatten_weights() const {

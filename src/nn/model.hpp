@@ -6,6 +6,14 @@
 // sweep, accumulating gradients where a layer output fans out to multiple
 // children.
 //
+// Each pass runs on the compute team (util::ComputePool) as row shards of
+// the batch: forward is one fork-join in which every shard sweeps its rows
+// through every layer, and backward is two — the data gradients
+// (activation backward and dX) by row shards, then every layer's weight
+// gradients as one task list. The shard count follows from the team size
+// and the batch rows alone, and a row's values never depend on its shard,
+// so every team size gives the same bits.
+//
 // The flat weight view (flatten_weights / load_flat_weights) is the unit of
 // LTFB model exchange and of data-parallel gradient all-reduce.
 #pragma once
@@ -15,6 +23,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -80,26 +89,35 @@ class Model {
   /// Registers dL/d(output of `id`); accumulated if called twice.
   void add_output_gradient(LayerId id, const tensor::Tensor& grad);
 
-  /// Reverse sweep from all registered output gradients.
+  /// Reverse sweep from all registered output gradients: the data
+  /// gradients, then the weight gradients of every layer that received a
+  /// gradient (accumulated into Weights::gradient()).
   void backward();
 
-  /// Per-weights completion hook for comm/compute overlap: during the
-  /// reverse sweep, `hook` fires with each weights object as soon as its
-  /// owning layer's backward has produced the final local gradient —
-  /// reverse-layer order, while later (earlier-in-forward) layers are still
-  /// computing. The overlapped all-reduce (nn::GradientBucketer) hangs off
-  /// this seam. Only pass a hook on a model's FINAL backward call before
-  /// its gradients are consumed: a gradient-accumulating second backward
-  /// would fire the hook on partial sums.
+  /// Per-weights completion hook: once the weight gradients of the pass
+  /// are final, `hook` fires with each weights object of every layer that
+  /// received a gradient, in reverse-layer order. The bucketed all-reduce
+  /// (nn::GradientBucketer) hangs off this seam. Only pass a hook on a
+  /// model's FINAL backward call before its gradients are consumed: a
+  /// gradient-accumulating second backward would fire the hook on partial
+  /// sums.
   using BackwardHook = std::function<void(Weights&)>;
   void backward(const BackwardHook& hook);
+
+  /// The data gradients alone: dL/d(input) for every differentiable input,
+  /// bit for bit what backward() computes, for a pass whose weight
+  /// gradients would be thrown away. No weight gradient is touched and no
+  /// hook fires.
+  void backward_inputs();
 
   /// dL/d(input i) after backward() — how composed models (e.g. the
   /// CycleGAN's decoder feeding gradient back into the forward model)
   /// chain gradients across component networks. Throws for a data input.
   const tensor::Tensor& input_gradient(std::size_t input_index) const;
 
-  /// Optimizer update on every weights object.
+  /// Optimizer update on every weights object: each optimizer opens its
+  /// step, then the elementwise updates of all the model's weights run as
+  /// one task list of fixed-size chunks on the compute team.
   void apply_optimizer_step();
 
   // -- weights ---------------------------------------------------------------
@@ -130,14 +148,26 @@ class Model {
   struct Node {
     std::unique_ptr<Layer> layer;
     std::vector<LayerId> parents;
+    // The parents' outputs; for an input layer, the batch bound to it by
+    // the current forward().
+    std::vector<const tensor::Tensor*> inputs;
     tensor::Tensor grad_accumulator;  // dL/d(output)
     bool has_grad = false;
     // Whether backward() delivers dL/d(output) here: false for data inputs
     // and for weightless layers fed only by them.
     bool takes_grad = true;
+    // The plan of the current backward pass. in_pass: the layer runs.
+    // grad_targets[p]: where it writes dL/d(parent p) — the parent's
+    // accumulator when this is the first gradient to reach it, else
+    // edge_grads[p], which is then added into the accumulator; null when
+    // the parent takes none.
+    bool in_pass = false;
+    std::vector<tensor::Tensor*> grad_targets;
+    std::vector<tensor::Tensor> edge_grads;
   };
 
-  std::vector<const tensor::Tensor*> parent_outputs(const Node& node) const;
+  // One backward pass; weight_gradients = false is backward_inputs().
+  void run_backward(bool weight_gradients, const BackwardHook& hook);
 
   std::string name_;
   util::Rng rng_;
@@ -145,6 +175,14 @@ class Model {
   std::vector<LayerId> input_ids_;
   std::vector<Weights*> weight_ptrs_;
   std::size_t parameter_count_ = 0;
+  // Rows of the batch the last forward() ran.
+  std::size_t batch_rows_ = 0;
+  // First optimizer-update chunk of each weights object (weight_ptrs_
+  // order), then the total.
+  std::vector<std::size_t> update_chunks_{0};
+  // (layer, first task) of each layer with weight tasks in the current
+  // backward pass.
+  std::vector<std::pair<LayerId, std::size_t>> weight_stage_;
 };
 
 }  // namespace ltfb::nn

@@ -1,5 +1,6 @@
 #include "nn/optimizer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -7,80 +8,70 @@
 #include "telemetry/telemetry.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
-#include "util/compute_pool.hpp"
 #include "util/error.hpp"
 
 namespace ltfb::nn {
 
 namespace {
 
-// Update loops are pure elementwise kernels: run them on the process-wide
-// compute pool in fixed-size chunks (pool-size-invariant boundaries, so a
-// step is bit-identical at any LTFB_COMPUTE_THREADS). Matches the grain
-// used by tensor/ops.cpp; within a chunk a vector main loop (lanewise
+// The update loops are elementwise: a vector main loop (lanewise
 // IEEE-exact, so bit-identical to the scalar loop at every width) covers
-// the aligned span and a scalar tail the rest.
-constexpr std::size_t kGrain = 1u << 15;
-static_assert(kGrain % tensor::simd::kNativeWidth == 0,
-              "chunk starts must stay vector-aligned");
-
+// the aligned part of a range and a scalar tail the rest, so any split of
+// the elements into ranges gives the same bits.
 using tensor::simd::vf;
 constexpr std::size_t kW = tensor::simd::kNativeWidth;
 
 }  // namespace
 
-void Sgd::step(std::span<float> weights, std::span<const float> gradient) {
+void Optimizer::step(std::span<float> weights,
+                     std::span<const float> gradient) {
   LTFB_CHECK(weights.size() == gradient.size());
-  const float lr = lr_;
-  util::ComputePool::instance().parallel_ranges(
-      weights.size(), kGrain,
-      [weights, gradient, lr](std::size_t b, std::size_t e) {
-        const vf vlr = vf::broadcast(lr);
-        const std::size_t ve = b + tensor::simd::main_loop_bound(e - b);
-        for (std::size_t i = b; i < ve; i += kW) {
-          (vf::load(&weights[i]) - vlr * vf::load(&gradient[i]))
-              .store(&weights[i]);
-        }
-        for (std::size_t i = ve; i < e; ++i) {
-          weights[i] -= lr * gradient[i];
-        }
-      });
+  begin_step(weights.size());
+  update(weights, gradient, 0, weights.size());
 }
 
-void Momentum::step(std::span<float> weights,
-                    std::span<const float> gradient) {
-  LTFB_CHECK(weights.size() == gradient.size());
-  if (velocity_.size() != weights.size()) {
-    velocity_.assign(weights.size(), 0.0f);
+void Sgd::update(std::span<float> weights, std::span<const float> gradient,
+                 std::size_t b, std::size_t e) {
+  const float lr = lr_;
+  const vf vlr = vf::broadcast(lr);
+  const std::size_t ve = b + tensor::simd::main_loop_bound(e - b);
+  for (std::size_t i = b; i < ve; i += kW) {
+    (vf::load(&weights[i]) - vlr * vf::load(&gradient[i])).store(&weights[i]);
   }
+  for (std::size_t i = ve; i < e; ++i) {
+    weights[i] -= lr * gradient[i];
+  }
+}
+
+void Momentum::begin_step(std::size_t size) {
+  if (velocity_.size() != size) velocity_.assign(size, 0.0f);
+}
+
+void Momentum::update(std::span<float> weights,
+                      std::span<const float> gradient, std::size_t b,
+                      std::size_t e) {
   float* velocity = velocity_.data();
   const float lr = lr_;
   const float momentum = momentum_;
-  util::ComputePool::instance().parallel_ranges(
-      weights.size(), kGrain,
-      [weights, gradient, velocity, lr, momentum](std::size_t b,
-                                                  std::size_t e) {
-        const vf vlr = vf::broadcast(lr);
-        const vf vmom = vf::broadcast(momentum);
-        const std::size_t ve = b + tensor::simd::main_loop_bound(e - b);
-        for (std::size_t i = b; i < ve; i += kW) {
-          const vf vel =
-              vmom * vf::load(velocity + i) - vlr * vf::load(&gradient[i]);
-          vel.store(velocity + i);
-          (vf::load(&weights[i]) + vel).store(&weights[i]);
-        }
-        for (std::size_t i = ve; i < e; ++i) {
-          velocity[i] = momentum * velocity[i] - lr * gradient[i];
-          weights[i] += velocity[i];
-        }
-      });
+  const vf vlr = vf::broadcast(lr);
+  const vf vmom = vf::broadcast(momentum);
+  const std::size_t ve = b + tensor::simd::main_loop_bound(e - b);
+  for (std::size_t i = b; i < ve; i += kW) {
+    const vf vel =
+        vmom * vf::load(velocity + i) - vlr * vf::load(&gradient[i]);
+    vel.store(velocity + i);
+    (vf::load(&weights[i]) + vel).store(&weights[i]);
+  }
+  for (std::size_t i = ve; i < e; ++i) {
+    velocity[i] = momentum * velocity[i] - lr * gradient[i];
+    weights[i] += velocity[i];
+  }
 }
 
-void Adam::step(std::span<float> weights, std::span<const float> gradient) {
-  LTFB_CHECK(weights.size() == gradient.size());
-  if (m_.size() != weights.size()) {
-    m_.assign(weights.size(), 0.0f);
-    v_.assign(weights.size(), 0.0f);
+void Adam::begin_step(std::size_t size) {
+  if (m_.size() != size) {
+    m_.assign(size, 0.0f);
+    v_.assign(size, 0.0f);
     t_ = 0;
   }
   ++t_;
@@ -88,39 +79,39 @@ void Adam::step(std::span<float> weights, std::span<const float> gradient) {
       1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 =
       1.0f - std::pow(beta2_, static_cast<float>(t_));
-  const float alpha = lr_ * std::sqrt(bc2) / bc1;
+  step_size_ = lr_ * std::sqrt(bc2) / bc1;
+}
+
+void Adam::update(std::span<float> weights, std::span<const float> gradient,
+                  std::size_t b, std::size_t e) {
   float* m = m_.data();
   float* v = v_.data();
+  const float alpha = step_size_;
   const float beta1 = beta1_;
   const float beta2 = beta2_;
   const float epsilon = epsilon_;
-  util::ComputePool::instance().parallel_ranges(
-      weights.size(), kGrain,
-      [weights, gradient, m, v, alpha, beta1, beta2,
-       epsilon](std::size_t b, std::size_t e) {
-        const vf vb1 = vf::broadcast(beta1);
-        const vf vomb1 = vf::broadcast(1.0f - beta1);
-        const vf vb2 = vf::broadcast(beta2);
-        const vf vomb2 = vf::broadcast(1.0f - beta2);
-        const vf valpha = vf::broadcast(alpha);
-        const vf veps = vf::broadcast(epsilon);
-        const std::size_t ve = b + tensor::simd::main_loop_bound(e - b);
-        for (std::size_t i = b; i < ve; i += kW) {
-          const vf g = vf::load(&gradient[i]);
-          const vf mi = vb1 * vf::load(m + i) + vomb1 * g;
-          const vf vi = vb2 * vf::load(v + i) + vomb2 * g * g;
-          mi.store(m + i);
-          vi.store(v + i);
-          (vf::load(&weights[i]) - valpha * mi / (vi.sqrt() + veps))
-              .store(&weights[i]);
-        }
-        for (std::size_t i = ve; i < e; ++i) {
-          const float g = gradient[i];
-          m[i] = beta1 * m[i] + (1.0f - beta1) * g;
-          v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
-          weights[i] -= alpha * m[i] / (std::sqrt(v[i]) + epsilon);
-        }
-      });
+  const vf vb1 = vf::broadcast(beta1);
+  const vf vomb1 = vf::broadcast(1.0f - beta1);
+  const vf vb2 = vf::broadcast(beta2);
+  const vf vomb2 = vf::broadcast(1.0f - beta2);
+  const vf valpha = vf::broadcast(alpha);
+  const vf veps = vf::broadcast(epsilon);
+  const std::size_t ve = b + tensor::simd::main_loop_bound(e - b);
+  for (std::size_t i = b; i < ve; i += kW) {
+    const vf g = vf::load(&gradient[i]);
+    const vf mi = vb1 * vf::load(m + i) + vomb1 * g;
+    const vf vi = vb2 * vf::load(v + i) + vomb2 * g * g;
+    mi.store(m + i);
+    vi.store(v + i);
+    (vf::load(&weights[i]) - valpha * mi / (vi.sqrt() + veps))
+        .store(&weights[i]);
+  }
+  for (std::size_t i = ve; i < e; ++i) {
+    const float g = gradient[i];
+    m[i] = beta1 * m[i] + (1.0f - beta1) * g;
+    v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
+    weights[i] -= alpha * m[i] / (std::sqrt(v[i]) + epsilon);
+  }
 }
 
 void Optimizer::deserialize_state(std::span<const float> state) {
@@ -216,16 +207,25 @@ LossScalingOptimizer::LossScalingOptimizer(
   LTFB_CHECK(inner_ != nullptr && controller_ != nullptr);
 }
 
-void LossScalingOptimizer::step(std::span<float> weights,
-                                std::span<const float> gradient) {
-  if (controller_->should_skip()) return;  // overflow: whole group sits out
+void LossScalingOptimizer::begin_step(std::size_t size) {
+  skip_ = controller_->should_skip();  // overflow: whole group sits out
+  if (skip_) return;
+  if (unscaled_.size() != size) unscaled_.resize(size);
+  inner_->begin_step(size);
+}
+
+void LossScalingOptimizer::update(std::span<float> weights,
+                                  std::span<const float> gradient,
+                                  std::size_t b, std::size_t e) {
+  if (skip_) return;
   // Unscale into a scratch copy; the scale is a power of two, so the
   // division is exact and the inner optimizer sees the true gradient.
-  unscaled_.assign(gradient.begin(), gradient.end());
+  std::copy(gradient.begin() + static_cast<std::ptrdiff_t>(b),
+            gradient.begin() + static_cast<std::ptrdiff_t>(e),
+            unscaled_.begin() + static_cast<std::ptrdiff_t>(b));
   tensor::scale(1.0f / controller_->scale(),
-                std::span<float>(unscaled_.data(), unscaled_.size()));
-  inner_->step(weights,
-               std::span<const float>(unscaled_.data(), unscaled_.size()));
+                std::span<float>(unscaled_.data() + b, e - b));
+  inner_->update(weights, unscaled_, b, e);
 }
 
 std::unique_ptr<Optimizer> LossScalingOptimizer::clone_fresh() const {

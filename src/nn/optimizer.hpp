@@ -20,9 +20,23 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   /// Applies one update: weights -= f(gradient). Both spans have the size
-  /// fixed by the first call; state is allocated lazily.
-  virtual void step(std::span<float> weights,
-                    std::span<const float> gradient) = 0;
+  /// fixed by the first call; state is allocated lazily. Runs begin_step()
+  /// and then update() over every element on the calling thread;
+  /// Model::apply_optimizer_step fans a model's updates out instead.
+  void step(std::span<float> weights, std::span<const float> gradient);
+
+  /// Opens one update of a `size`-element tensor: allocates state on first
+  /// use and advances the step count. Called once per step, before any
+  /// update() of that step.
+  virtual void begin_step(std::size_t size) = 0;
+
+  /// The elementwise part of the step opened by begin_step(), on elements
+  /// [begin, end) of the full weights/gradient spans. Disjoint ranges may
+  /// run concurrently, and every split of the elements into ranges gives
+  /// the same bits.
+  virtual void update(std::span<float> weights,
+                      std::span<const float> gradient, std::size_t begin,
+                      std::size_t end) = 0;
 
   virtual std::string name() const = 0;
 
@@ -53,7 +67,9 @@ using OptimizerFactory = std::function<std::unique_ptr<Optimizer>()>;
 class Sgd final : public Optimizer {
  public:
   explicit Sgd(float lr) : lr_(lr) {}
-  void step(std::span<float> weights, std::span<const float> gradient) override;
+  void begin_step(std::size_t /*size*/) override {}
+  void update(std::span<float> weights, std::span<const float> gradient,
+              std::size_t begin, std::size_t end) override;
   std::string name() const override { return "sgd"; }
   float learning_rate() const override { return lr_; }
   void set_learning_rate(float lr) override { lr_ = lr; }
@@ -69,7 +85,9 @@ class Sgd final : public Optimizer {
 class Momentum final : public Optimizer {
  public:
   Momentum(float lr, float momentum) : lr_(lr), momentum_(momentum) {}
-  void step(std::span<float> weights, std::span<const float> gradient) override;
+  void begin_step(std::size_t size) override;
+  void update(std::span<float> weights, std::span<const float> gradient,
+              std::size_t begin, std::size_t end) override;
   std::string name() const override { return "momentum"; }
   float learning_rate() const override { return lr_; }
   void set_learning_rate(float lr) override { lr_ = lr; }
@@ -93,7 +111,9 @@ class Adam final : public Optimizer {
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float epsilon = 1e-8f)
       : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
-  void step(std::span<float> weights, std::span<const float> gradient) override;
+  void begin_step(std::size_t size) override;
+  void update(std::span<float> weights, std::span<const float> gradient,
+              std::size_t begin, std::size_t end) override;
   std::string name() const override { return "adam"; }
   float learning_rate() const override { return lr_; }
   void set_learning_rate(float lr) override { lr_ = lr; }
@@ -108,6 +128,7 @@ class Adam final : public Optimizer {
   float lr_, beta1_, beta2_, epsilon_;
   std::vector<float> m_, v_;
   long t_ = 0;
+  float step_size_ = 0.0f;  // bias-corrected lr of the open step
 };
 
 /// Dynamic loss-scale state shared by every LossScalingOptimizer of one
@@ -165,14 +186,16 @@ class LossScaleController {
 /// Decorator that makes any optimizer loss-scale-aware: divides the scaled
 /// gradient back down by the controller's current scale before delegating,
 /// and skips the step entirely (weights AND inner optimizer state
-/// untouched) when the controller flagged the group. State serialization
-/// passes through to the inner optimizer, so checkpoints are
+/// untouched) when the controller flagged the group at begin_step(). State
+/// serialization passes through to the inner optimizer, so checkpoints are
 /// layout-compatible with unscaled training.
 class LossScalingOptimizer final : public Optimizer {
  public:
   LossScalingOptimizer(std::unique_ptr<Optimizer> inner,
                        std::shared_ptr<LossScaleController> controller);
-  void step(std::span<float> weights, std::span<const float> gradient) override;
+  void begin_step(std::size_t size) override;
+  void update(std::span<float> weights, std::span<const float> gradient,
+              std::size_t begin, std::size_t end) override;
   std::string name() const override { return "loss_scaled_" + inner_->name(); }
   float learning_rate() const override { return inner_->learning_rate(); }
   void set_learning_rate(float lr) override { inner_->set_learning_rate(lr); }
@@ -188,6 +211,7 @@ class LossScalingOptimizer final : public Optimizer {
   std::unique_ptr<Optimizer> inner_;
   std::shared_ptr<LossScaleController> controller_;
   std::vector<float> unscaled_;
+  bool skip_ = false;  // the open step's group overflowed
 };
 
 /// Factory helpers.

@@ -35,15 +35,8 @@ class Weights {
     optimizer_ = std::move(optimizer);
   }
   Optimizer* optimizer() noexcept { return optimizer_.get(); }
+  /// Null for frozen weights; Model::apply_optimizer_step skips them.
   const Optimizer* optimizer() const noexcept { return optimizer_.get(); }
-
-  /// One optimizer update from the accumulated gradient. No-op without an
-  /// attached optimizer (frozen weights).
-  void apply_step() {
-    if (optimizer_) {
-      optimizer_->step(values_.data(), gradient_.data());
-    }
-  }
 
  private:
   std::string name_;

@@ -50,7 +50,7 @@ Dims check_dims(Op op_a, Op op_b, const Tensor& a, const Tensor& b,
 // 32-row macro-blocks give a batch-128 layer four tasks, one per thread of a
 // 4-wide team. kBlockK is NOT a tuning knob: each C element sums its k terms
 // block by block, so the k-block size fixes the summation order.
-constexpr std::size_t kBlockM = 32;
+constexpr std::size_t kBlockM = kGemmRowBlock;
 constexpr std::size_t kBlockN = 128;
 constexpr std::size_t kBlockK = 128;
 
@@ -76,16 +76,28 @@ alignas(64) thread_local std::array<float, kBlockM * kBlockK> tl_abuf;
 
 // The op(B) column block a thread is working through: all its k-panels,
 // stacked into one k x round_up(nb, kNr) row-major panel. It stays packed
-// while the thread's share of tasks walks that column block's row blocks.
+// while the tasks the thread claims walk that column block's row blocks.
 // The tag is the gemm call that packed it, never an operand address: the
 // weights behind one address change between calls.
-struct PackedB {
+struct ThreadPanel {
   std::vector<float> storage;
   float* panel = nullptr;  // 64-byte aligned start inside storage
   std::uint64_t call = 0;  // 0: nothing packed yet
   std::size_t j_block = 0;
 };
-thread_local PackedB tl_packed_b;
+thread_local ThreadPanel tl_packed_b;
+
+// Grows `storage` to hold `floats` floats starting on a 64-byte line and
+// returns that start; the kNr floats of slack make room for the alignment.
+float* aligned_panel(std::vector<float>& storage, float* current,
+                     std::size_t floats) {
+  if (current != nullptr && storage.size() >= floats + kNr) return current;
+  storage.resize(floats + kNr);
+  void* start = storage.data();
+  std::size_t space = storage.size() * sizeof(float);
+  return static_cast<float*>(
+      std::align(64, floats * sizeof(float), start, space));
+}
 
 // Numbers gemm calls for the PackedB tags; starts at 1.
 std::atomic<std::uint64_t> g_gemm_calls{0};
@@ -114,14 +126,15 @@ void pack_a(Op op, const Tensor& a, float alpha, std::size_t i0,
   std::fill(buf + mb * kb, buf + round_up(mb, kMr) * kb, 0.0f);
 }
 
-// Packs op(B)'s (0..k) x (j0..j0+nb) column block row-major into `buf` with
-// row stride ldb_packed = nb rounded up to whole kNr-column tiles,
-// zero-filling the padding columns. The k-panel of k-block k0 is then the
-// ldb_packed-strided panel starting at row k0.
-void pack_b(Op op, const Tensor& b, std::size_t k, std::size_t j0,
-            std::size_t nb, std::size_t ldb_packed, float* buf) {
+// Packs rows [k_begin, k_end) of op(B)'s (0..k) x (j0..j0+nb) column block
+// row-major into `buf` with row stride ldb_packed = nb rounded up to whole
+// kNr-column tiles, zero-filling the padding columns. The k-panel of
+// k-block k0 is then the ldb_packed-strided panel starting at row k0.
+void pack_b(Op op, const Tensor& b, std::size_t k_begin, std::size_t k_end,
+            std::size_t j0, std::size_t nb, std::size_t ldb_packed,
+            float* buf) {
   const std::size_t ldb = b.cols();
-  for (std::size_t kk = 0; kk < k; ++kk) {
+  for (std::size_t kk = k_begin; kk < k_end; ++kk) {
     float* dst = buf + kk * ldb_packed;
     if (op == Op::None) {
       std::copy_n(b.raw() + kk * ldb + j0, nb, dst);
@@ -250,7 +263,141 @@ void apply_epilogue(float* LTFB_GEMM_RESTRICT cp, std::size_t ldc,
   }
 }
 
+// C's (i0..i0+mb) x (j0..j0+nb) macro-block += alpha * op(A) * op(B), with
+// op(B)'s column block packed in `bpanel` (row stride ldb_packed), then the
+// fused epilogue. The k0 loop runs sequentially here, so each C element
+// accumulates its k terms in one fixed order wherever the block runs.
+void macro_block(Op op_a, const Tensor& a, float alpha, std::size_t k,
+                 const float* bpanel, std::size_t ldb_packed, float* cp,
+                 std::size_t ldc, std::size_t i0, std::size_t mb,
+                 std::size_t j0, std::size_t nb, const Epilogue& epilogue) {
+  float* const abuf = tl_abuf.data();
+  for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
+    const std::size_t kb = std::min(kBlockK, k - k0);
+    pack_a(op_a, a, alpha, i0, mb, k0, kb, abuf);
+    const float* const bk = bpanel + k0 * ldb_packed;
+    for (std::size_t i = 0; i < mb; i += kMr) {
+      const std::size_t mr = std::min(kMr, mb - i);
+      for (std::size_t j = 0; j < nb; j += kNr) {
+        const std::size_t nr = std::min(kNr, nb - j);
+        const float* ap = abuf + i * kb;
+        const float* bp = bk + j;
+        float* ctile = cp + (i0 + i) * ldc + (j0 + j);
+        if (mr == kMr && nr == kNr) {
+          micro_kernel_full(ap, bp, kb, ldb_packed, ctile, ldc);
+          continue;
+        }
+        // Edge tile: the full kernel on the padded panels into a zeroed
+        // scratch tile, whose in-range part is then added into C — the
+        // same single add per k-block a full tile makes.
+        alignas(64) float edge[kMr * kNr] = {};
+        micro_kernel_full(ap, bp, kb, ldb_packed, edge, kNr);
+        for (std::size_t r = 0; r < mr; ++r) {
+          for (std::size_t col = 0; col < nr; ++col) {
+            ctile[r * ldc + col] += edge[r * kNr + col];
+          }
+        }
+      }
+    }
+  }
+  // Fused epilogue: the macro-block's rows are still hot in cache here,
+  // so bias + activation cost one read-modify-write instead of the extra
+  // full passes separate layers would make.
+  if (!epilogue.empty()) apply_epilogue(cp, ldc, i0, mb, j0, nb, epilogue);
+}
+
+// Scales C's rows [row_begin, row_begin + rows) by beta up front.
+void scale_rows(float beta, float* cp, std::size_t n, std::size_t row_begin,
+                std::size_t rows) {
+  float* const first = cp + row_begin * n;
+  if (beta == 0.0f) {
+    std::fill_n(first, rows * n, 0.0f);
+  } else if (beta != 1.0f) {
+    scale(beta, std::span<float>(first, rows * n));
+  }
+}
+
 }  // namespace
+
+void PackedB::reshape(std::size_t k, std::size_t n) {
+  k_ = k;
+  n_ = n;
+  const std::size_t full_blocks = n / kBlockN;
+  const std::size_t floats =
+      (full_blocks * kBlockN + round_up(n % kBlockN, kNr)) * k;
+  base_ = aligned_panel(storage_, base_, floats);
+}
+
+float* PackedB::mutable_block(std::size_t j_block) noexcept {
+  return base_ + j_block * kBlockN * k_;
+}
+
+const float* PackedB::block(std::size_t j_block) const noexcept {
+  return base_ + j_block * kBlockN * k_;
+}
+
+void PackedB::pack(Op op, const Tensor& b) {
+  LTFB_CHECK_MSG(b.rank() == 2, "PackedB::pack requires a rank-2 tensor");
+  const std::size_t k = (op == Op::None) ? b.rows() : b.cols();
+  const std::size_t n = (op == Op::None) ? b.cols() : b.rows();
+  reshape(k, n);
+  for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
+    const std::size_t nb = std::min(kBlockN, n - j0);
+    pack_b(op, b, 0, k, j0, nb, round_up(nb, kNr),
+           mutable_block(j0 / kBlockN));
+  }
+}
+
+void PackedB::pack_rows(const Tensor& b, std::size_t row_begin,
+                        std::size_t row_end) {
+  LTFB_CHECK_MSG(b.rank() == 2 && b.rows() == k_ && b.cols() == n_ &&
+                     row_begin <= row_end && row_end <= k_,
+                 "PackedB::pack_rows: operand " << shape_to_string(b.shape())
+                     << " rows [" << row_begin << ", " << row_end
+                     << ") do not fit a " << k_ << " x " << n_ << " panel");
+  for (std::size_t j0 = 0; j0 < n_; j0 += kBlockN) {
+    const std::size_t nb = std::min(kBlockN, n_ - j0);
+    pack_b(Op::None, b, row_begin, row_end, j0, nb, round_up(nb, kNr),
+           mutable_block(j0 / kBlockN));
+  }
+}
+
+void gemm_rows(Op op_a, float alpha, const Tensor& a, const PackedB& b,
+               float beta, Tensor& c, std::size_t row_begin,
+               std::size_t row_end, const Epilogue& epilogue) {
+  LTFB_CHECK_MSG(a.rank() == 2 && c.rank() == 2,
+                 "gemm_rows requires rank-2 tensors");
+  const std::size_t m = (op_a == Op::None) ? a.rows() : a.cols();
+  const std::size_t k = (op_a == Op::None) ? a.cols() : a.rows();
+  const std::size_t n = b.n();
+  LTFB_CHECK_MSG(k == b.k(), "gemm_rows inner dimension mismatch: "
+                                 << k << " vs " << b.k());
+  LTFB_CHECK_MSG(c.rows() == m && c.cols() == n,
+                 "gemm_rows output shape mismatch: got "
+                     << shape_to_string(c.shape()) << ", want [" << m << ", "
+                     << n << "]");
+  LTFB_CHECK_MSG(row_begin <= row_end && row_end <= m,
+                 "gemm_rows row range [" << row_begin << ", " << row_end
+                                         << ") outside " << m << " rows");
+  const std::size_t rows = row_end - row_begin;
+  if (rows == 0 || n == 0) return;
+  float* cp = c.raw();
+  scale_rows(beta, cp, n, row_begin, rows);
+  if (alpha == 0.0f || k == 0) {
+    if (!epilogue.empty()) {
+      apply_epilogue(cp, n, row_begin, rows, 0, n, epilogue);
+    }
+    return;
+  }
+  for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
+    const std::size_t nb = std::min(kBlockN, n - j0);
+    const float* panel = b.block(j0 / kBlockN);
+    for (std::size_t i0 = row_begin; i0 < row_end; i0 += kBlockM) {
+      macro_block(op_a, a, alpha, k, panel, round_up(nb, kNr), cp, n, i0,
+                  std::min(kBlockM, row_end - i0), j0, nb, epilogue);
+    }
+  }
+}
 
 void gemm(Op op_a, Op op_b, float alpha, const Tensor& a, const Tensor& b,
           float beta, Tensor& c) {
@@ -267,11 +414,7 @@ void gemm(Op op_a, Op op_b, float alpha, const Tensor& a, const Tensor& b,
   // Scale C by beta once up front (through the shared elementwise layer,
   // which is itself pool-parallel for large C).
   float* cp = c.raw();
-  if (beta == 0.0f) {
-    std::fill_n(cp, m * n, 0.0f);
-  } else if (beta != 1.0f) {
-    scale(beta, std::span<float>(cp, m * n));
-  }
+  scale_rows(beta, cp, n, 0, m);
   if (alpha == 0.0f || m == 0 || n == 0 || k == 0) {
     // The multiply degenerates but the contract is gemm-then-epilogue:
     // the epilogue still transforms the beta-scaled C.
@@ -286,70 +429,28 @@ void gemm(Op op_a, Op op_b, float alpha, const Tensor& a, const Tensor& b,
   const std::uint64_t call =
       g_gemm_calls.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // One task per C macro-block, numbered column-block-major: a thread's
-  // contiguous share of tasks walks the row blocks of one column block, so
-  // it packs that column block of op(B) once and reuses it for every row
-  // block. The k0 loop runs sequentially INSIDE the task, so each C
-  // element accumulates its k terms in one fixed order — the deterministic
-  // block-to-accumulator mapping that makes output bit-identical across
-  // runs and pool sizes.
+  // One task per C macro-block, numbered column-block-major. A thread
+  // claims tasks in increasing order, so the tasks it runs walk the row
+  // blocks of one column block before the next: it packs that column block
+  // of op(B) once and reuses it for every row block it claims. Each task is
+  // one macro_block, whose fixed k order makes the output bit-identical
+  // across runs and pool sizes.
   auto block_task = [&, m = m, n = n, k = k](std::size_t t) {
     const std::size_t j_block = t / i_blocks;
     const std::size_t i0 = (t % i_blocks) * kBlockM;
     const std::size_t j0 = j_block * kBlockN;
-    const std::size_t mb = std::min(kBlockM, m - i0);
     const std::size_t nb = std::min(kBlockN, n - j0);
     const std::size_t ldb_packed = round_up(nb, kNr);
-    PackedB& packed = tl_packed_b;
+    ThreadPanel& packed = tl_packed_b;
     if (packed.call != call || packed.j_block != j_block) {
-      const std::size_t floats = k * ldb_packed;
-      if (packed.storage.size() < floats + kNr) {
-        // Grows only; the slack lets the panel start on a 64-byte line.
-        packed.storage.resize(floats + kNr);
-        void* start = packed.storage.data();
-        std::size_t space = packed.storage.size() * sizeof(float);
-        packed.panel = static_cast<float*>(
-            std::align(64, floats * sizeof(float), start, space));
-      }
-      pack_b(op_b, b, k, j0, nb, ldb_packed, packed.panel);
+      packed.panel =
+          aligned_panel(packed.storage, packed.panel, k * ldb_packed);
+      pack_b(op_b, b, 0, k, j0, nb, ldb_packed, packed.panel);
       packed.call = call;
       packed.j_block = j_block;
     }
-    float* const abuf = tl_abuf.data();
-    for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const std::size_t kb = std::min(kBlockK, k - k0);
-      pack_a(op_a, a, alpha, i0, mb, k0, kb, abuf);
-      const float* const bpanel = packed.panel + k0 * ldb_packed;
-      for (std::size_t i = 0; i < mb; i += kMr) {
-        const std::size_t mr = std::min(kMr, mb - i);
-        for (std::size_t j = 0; j < nb; j += kNr) {
-          const std::size_t nr = std::min(kNr, nb - j);
-          const float* ap = abuf + i * kb;
-          const float* bp = bpanel + j;
-          float* ctile = cp + (i0 + i) * n + (j0 + j);
-          if (mr == kMr && nr == kNr) {
-            micro_kernel_full(ap, bp, kb, ldb_packed, ctile, n);
-            continue;
-          }
-          // Edge tile: the full kernel on the padded panels into a zeroed
-          // scratch tile, whose in-range part is then added into C — the
-          // same single add per k-block a full tile makes.
-          alignas(64) float edge[kMr * kNr] = {};
-          micro_kernel_full(ap, bp, kb, ldb_packed, edge, kNr);
-          for (std::size_t r = 0; r < mr; ++r) {
-            for (std::size_t col = 0; col < nr; ++col) {
-              ctile[r * n + col] += edge[r * kNr + col];
-            }
-          }
-        }
-      }
-    }
-    // Fused epilogue: the macro-block's rows are still hot in cache here,
-    // so bias + activation cost one read-modify-write instead of the extra
-    // full passes separate layers would make.
-    if (!epilogue.empty()) {
-      apply_epilogue(cp, n, i0, mb, j0, nb, epilogue);
-    }
+    macro_block(op_a, a, alpha, k, packed.panel, ldb_packed, cp, n, i0,
+                std::min(kBlockM, m - i0), j0, nb, epilogue);
   };
 
   const std::size_t tasks = i_blocks * j_blocks;

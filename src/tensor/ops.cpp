@@ -130,14 +130,20 @@ void add_row_bias(std::span<const float> bias, Tensor& matrix) {
 
 void column_sums(const Tensor& matrix, std::span<float> out) {
   LTFB_CHECK(matrix.rank() == 2 && out.size() == matrix.cols());
-  // Serial on purpose: the row counts here are mini-batch sized, and a
-  // parallel version would need per-chunk partial rows to stay
-  // deterministic — not worth it for this kernel's share of step time.
+  // Serial over rows on purpose: each column sums its rows in index order,
+  // one add per row, which a split of the rows would reassociate. The
+  // vector lanes run across columns, so every column keeps that order at
+  // every width.
   std::fill(out.begin(), out.end(), 0.0f);
   const std::size_t cols = matrix.cols();
+  const std::size_t ve = simd::main_loop_bound(cols);
+  float* sums = out.data();
   for (std::size_t r = 0; r < matrix.rows(); ++r) {
     const float* row = matrix.raw() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) out[c] += row[c];
+    for (std::size_t c = 0; c < ve; c += kW) {
+      (vf::load(sums + c) + vf::load(row + c)).store(sums + c);
+    }
+    for (std::size_t c = ve; c < cols; ++c) sums[c] += row[c];
   }
 }
 

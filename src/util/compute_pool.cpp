@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
@@ -28,19 +29,21 @@ constexpr std::size_t kMaxThreads = 64;
 // starving the comm rank threads sharing the machine.
 constexpr std::size_t kDefaultThreadCap = 16;
 
-// How long a waiter polls a team flag before it parks. The window spans
-// the serial stretches between the parallel kernels of one training step
-// (p99 ~450 us for the CycleGAN step at batch 128 on a 4-vCPU VM), because
-// a parked thread pays a wake-up latency of tens of microseconds there.
-constexpr auto kSpinWindow = std::chrono::microseconds(500);
-// Polls between clock reads. Past the first kTightPolls (a few
-// microseconds) the spinner also yields at each clock read, so a runnable
-// thread sharing its core, such as another rank, is not starved.
+// How long a waiting thread polls before it parks on std::atomic::wait:
+// about what a park costs. On the 4-vCPU VM this was tuned on, a parked
+// worker starts its first task 17-37 us (p10-p90) after the post, while
+// the gaps between the ~26 fork-joins of one CycleGAN train_step are
+// 5 us at the median and 13-14 us at p90. A 20 us window keeps workers
+// spinning across nearly every gap of a step, and a wait that outlasts it
+// would have paid the wake anyway. Spinning longer only competes with the
+// work for vCPUs, which the host steals 22-35% of whenever all four are
+// busy. A plain load loop: a PAUSE hint measured no faster here.
+constexpr auto kSpinWindow = std::chrono::microseconds(20);
+// Polls between clock reads.
 constexpr std::size_t kPollsPerCheck = 64;
-constexpr std::size_t kTightPolls = 1u << 12;
 
 // Waits until `flag` no longer holds `old` and returns the new value:
-// spins first when `spin`, then parks on std::atomic::wait.
+// polls it for up to kSpinWindow when `spin`, then parks.
 template <typename T>
 T await_change(const std::atomic<T>& flag, T old, bool spin) {
   if (spin) {
@@ -48,9 +51,10 @@ T await_change(const std::atomic<T>& flag, T old, bool spin) {
     for (std::size_t polls = 1;; ++polls) {
       const T now = flag.load(std::memory_order_acquire);
       if (now != old) return now;
-      if (polls % kPollsPerCheck != 0) continue;
-      if (std::chrono::steady_clock::now() > until) break;
-      if (polls > kTightPolls) std::this_thread::yield();
+      if (polls % kPollsPerCheck == 0 &&
+          std::chrono::steady_clock::now() > until) {
+        break;
+      }
     }
   }
   for (;;) {
@@ -60,43 +64,11 @@ T await_change(const std::atomic<T>& flag, T old, bool spin) {
   }
 }
 
-// Handles of the workers a forked child inherited from its parent. The
-// child can neither join nor detach them: those threads do not exist in it,
-// and its thread library recycles their stacks for the child's own new
-// threads. Parked here and never destroyed.
-std::vector<std::thread>& parent_workers() {
-  static std::vector<std::thread>* const parked =
-      std::make_unique<std::vector<std::thread>>().release();
-  return *parked;
-}
-
-// Runs tasks [begin, end) in order; returns the exception of the first task
-// that throws (the rest of the range is skipped).
-std::exception_ptr run_share(const std::function<void(std::size_t)>& fn,
-                             std::size_t begin, std::size_t end) {
-  try {
-    for (std::size_t t = begin; t < end; ++t) fn(t);
-  } catch (...) {
-    return std::current_exception();
-  }
-  return nullptr;
+constexpr std::uint64_t claim_word(std::uint64_t tasks, std::uint64_t next) {
+  return tasks << 32 | next;
 }
 
 }  // namespace
-
-// One worker's mailbox, on its own cache line. The caller fills the share
-// fields, then publishes them with a release increment of `posted`; the
-// worker acquires `posted`, runs the share, and reports through `error`
-// and the pool's `pending_` count.
-struct alignas(64) ComputePool::Slot {
-  std::atomic<std::uint32_t> posted{0};
-  bool stop = false;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  int rank = -1;
-  std::exception_ptr error;
-};
 
 ComputePool::ComputePool() {
   // Pin the telemetry registry's construction BEFORE the team's: Meyers
@@ -104,25 +76,14 @@ ComputePool::ComputePool() {
   // telemetry counters until they are joined.
   telemetry::Registry::instance();
   resize(env_threads());
-  const int registered = ::pthread_atfork(
-      &before_fork, &after_fork_in_parent, &after_fork_in_child);
+  const int registered =
+      ::pthread_atfork(&before_fork, &after_fork, &after_fork);
   LTFB_CHECK_MSG(registered == 0, "pthread_atfork failed: " << registered);
 }
 
 void ComputePool::before_fork() { instance().team_mutex_.lock(); }
 
-void ComputePool::after_fork_in_parent() { instance().team_mutex_.unlock(); }
-
-void ComputePool::after_fork_in_child() {
-  ComputePool& pool = instance();
-  for (std::thread& thread : pool.threads_) {
-    parent_workers().push_back(std::move(thread));
-  }
-  pool.threads_.clear();
-  pool.slots_.reset();
-  pool.size_.store(1, std::memory_order_relaxed);
-  pool.team_mutex_.unlock();
-}
+void ComputePool::after_fork() { instance().team_mutex_.unlock(); }
 
 ComputePool::~ComputePool() {
   const MutexLock lock(team_mutex_);
@@ -153,45 +114,67 @@ void ComputePool::resize(std::size_t threads) {
 }
 
 void ComputePool::start_workers(std::size_t count) {
-  slots_ = std::make_unique<Slot[]>(count);
+  // A worker treats every post after this one as new work, including one
+  // made before the thread first runs.
+  const std::uint32_t posted = posted_.load(std::memory_order_relaxed);
   threads_.reserve(count);
   for (std::size_t w = 0; w < count; ++w) {
-    Slot* slot = &slots_[w];
-    threads_.emplace_back([this, slot] { serve(*slot); });
+    threads_.emplace_back([this, posted] { serve(posted); });
   }
 }
 
 void ComputePool::stop_workers() {
-  for (std::size_t w = 0; w < threads_.size(); ++w) {
-    Slot& slot = slots_[w];
-    slot.stop = true;
-    slot.posted.fetch_add(1, std::memory_order_release);
-    slot.posted.notify_one();
-  }
+  if (threads_.empty()) return;
+  stopping_.store(true, std::memory_order_relaxed);
+  posted_.fetch_add(1, std::memory_order_release);
+  posted_.notify_all();
   for (std::thread& thread : threads_) thread.join();
   threads_.clear();
-  slots_.reset();
+  stopping_.store(false, std::memory_order_relaxed);
 }
 
-void ComputePool::serve(Slot& slot) {
+void ComputePool::serve(std::uint32_t posted) {
   telemetry::set_thread_name("compute/worker");
   tl_in_team = true;
-  std::uint32_t seen = 0;
   for (;;) {
-    seen = await_change(slot.posted, seen,
-                        spin_.load(std::memory_order_relaxed));
-    if (slot.stop) return;
-    {
-      // The share runs on behalf of the caller's rank: its spans, metrics
-      // and liveness heartbeat belong to that rank, not to the shared team.
-      const telemetry::RankBinding bind(slot.rank);
-      telemetry::flight::heartbeat_hot();
-      LTFB_SPAN("compute/share");
-      slot.error = run_share(*slot.fn, slot.begin, slot.end);
+    posted = await_change(posted_, posted,
+                          spin_.load(std::memory_order_relaxed));
+    if (stopping_.load(std::memory_order_relaxed)) return;
+    claim_and_run();
+  }
+}
+
+void ComputePool::claim_and_run() {
+  std::uint64_t word = claim_.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((word & 0xffffffffu) >= (word >> 32)) return;  // all claimed
+    if (claim_.compare_exchange_weak(word, word + 1,
+                                     std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+      run_task(word & 0xffffffffu);
+      word = claim_.load(std::memory_order_relaxed);
     }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      pending_.notify_one();
+  }
+}
+
+void ComputePool::run_task(std::size_t task) noexcept {
+  {
+    // The task runs on behalf of the caller's rank: its spans, metrics and
+    // liveness heartbeat belong to that rank, not to the shared team.
+    const telemetry::RankBinding bind(job_rank_);
+    telemetry::flight::heartbeat_hot();
+    try {
+      (*job_)(task);
+    } catch (...) {
+      const MutexLock lock(error_mutex_);
+      if (!error_ || task < error_task_) {
+        error_task_ = task;
+        error_ = std::current_exception();
+      }
     }
+  }
+  if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    unfinished_.notify_one();
   }
 }
 
@@ -213,6 +196,8 @@ std::size_t ComputePool::env_threads() {
 void ComputePool::run_tasks(std::size_t tasks,
                             const std::function<void(std::size_t)>& fn) {
   LTFB_CHECK_MSG(fn != nullptr, "ComputePool::run_tasks requires a callable");
+  LTFB_CHECK_MSG(tasks <= std::numeric_limits<std::uint32_t>::max(),
+                 "ComputePool::run_tasks: too many tasks (" << tasks << ")");
   if (tasks == 0) return;
 
   // Compute progress counts as liveness: a long GEMM sweep must not read
@@ -221,7 +206,13 @@ void ComputePool::run_tasks(std::size_t tasks,
 
   if (tasks > 1 && !tl_in_team && size() > 1) {
     if (team_mutex_.try_lock()) {
-      const std::exception_ptr error = fork_join(tasks, fn);
+      fork_join(tasks, fn);
+      std::exception_ptr error;
+      {
+        const MutexLock lock(error_mutex_);
+        error = std::move(error_);
+        error_ = nullptr;
+      }
       team_mutex_.unlock();
       if (error) std::rethrow_exception(error);
       return;
@@ -230,39 +221,26 @@ void ComputePool::run_tasks(std::size_t tasks,
   for (std::size_t t = 0; t < tasks; ++t) fn(t);
 }
 
-std::exception_ptr ComputePool::fork_join(
-    std::size_t tasks, const std::function<void(std::size_t)>& fn) {
-  // Contiguous shares, one per team member, cut from the task count alone.
-  // Only WHERE a task runs depends on the team size; each index runs
-  // exactly as in the serial loop, which keeps results team-size-invariant.
-  const std::size_t shares = std::min(tasks, threads_.size() + 1);
-  const int caller_rank = telemetry::bound_rank();
-  pending_.store(static_cast<std::uint32_t>(shares - 1),
-                 std::memory_order_relaxed);
-  for (std::size_t s = 1; s < shares; ++s) {
-    Slot& slot = slots_[s - 1];
-    slot.fn = &fn;
-    slot.begin = tasks * s / shares;
-    slot.end = tasks * (s + 1) / shares;
-    slot.rank = caller_rank;
-    slot.posted.fetch_add(1, std::memory_order_release);
-    slot.posted.notify_one();
-  }
+void ComputePool::fork_join(std::size_t tasks,
+                            const std::function<void(std::size_t)>& fn) {
+  job_ = &fn;
+  job_rank_ = telemetry::bound_rank();
+  unfinished_.store(static_cast<std::uint32_t>(tasks),
+                    std::memory_order_relaxed);
+  // Task 0 is the caller's; the rest go to whoever claims them first.
+  claim_.store(claim_word(tasks, 1), std::memory_order_release);
+  posted_.fetch_add(1, std::memory_order_release);
+  posted_.notify_all();
 
   tl_in_team = true;
-  std::exception_ptr first = run_share(fn, 0, tasks / shares);
+  run_task(0);
+  claim_and_run();
   tl_in_team = false;
 
+  // Only tasks other threads claimed are left; wait for them to finish.
   const bool spin = spin_.load(std::memory_order_relaxed);
-  std::uint32_t left = pending_.load(std::memory_order_acquire);
-  while (left != 0) left = await_change(pending_, left, spin);
-
-  for (std::size_t s = 1; s < shares; ++s) {
-    std::exception_ptr& error = slots_[s - 1].error;
-    if (!first) first = error;
-    error = nullptr;
-  }
-  return first;
+  std::uint32_t left = unfinished_.load(std::memory_order_acquire);
+  while (left != 0) left = await_change(unfinished_, left, spin);
 }
 
 void ComputePool::parallel_ranges(
@@ -275,9 +253,14 @@ void ComputePool::parallel_ranges(
     fn(0, n);
     return;
   }
-  run_tasks(chunks, [n, grain, &fn](std::size_t chunk) {
-    const std::size_t begin = chunk * grain;
-    fn(begin, std::min(n, begin + grain));
+  // The task captures one pointer, which std::function stores in place.
+  const struct {
+    std::size_t n, grain;
+    const std::function<void(std::size_t, std::size_t)>& fn;
+  } ranges{n, grain, fn};
+  run_tasks(chunks, [&ranges](std::size_t chunk) {
+    const std::size_t begin = chunk * ranges.grain;
+    ranges.fn(begin, std::min(ranges.n, begin + ranges.grain));
   });
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "data/data_reader.hpp"
@@ -11,6 +12,7 @@
 #include "gan/cyclegan.hpp"
 #include "perf/model_cost.hpp"
 #include "tensor/ops.hpp"
+#include "util/compute_pool.hpp"
 
 namespace {
 
@@ -216,6 +218,55 @@ TEST(CycleGan, GradientSyncHookFiresPerPhase) {
   EXPECT_EQ(sizes[0], 2u);
   EXPECT_EQ(sizes[1], 1u);
   EXPECT_EQ(sizes[2], 2u);
+}
+
+struct TrainedRun {
+  std::vector<float> weights;
+  std::vector<StepMetrics> steps;
+  EvalMetrics eval;
+};
+
+TrainedRun train_at_team_size(std::size_t team) {
+  util::ComputePool::instance().resize(team);
+  const data::Dataset dataset = tiny_dataset(40, 19);
+  const data::Batch batch = batch_of(dataset, 33);
+  CycleGan model(tiny_config(), 20);
+  TrainedRun run;
+  for (int step = 0; step < 5; ++step) {
+    run.steps.push_back(model.train_step(batch));
+  }
+  run.eval = model.evaluate(batch);
+  run.weights = model.generator_weights();
+  const std::vector<float> disc = model.discriminator_weights();
+  run.weights.insert(run.weights.end(), disc.begin(), disc.end());
+  util::ComputePool::instance().resize(util::ComputePool::env_threads());
+  return run;
+}
+
+TEST(CycleGan, TrainingIsBitIdenticalAcrossTeamSizes) {
+  const TrainedRun one = train_at_team_size(1);
+  const TrainedRun four = train_at_team_size(4);
+  ASSERT_EQ(one.weights.size(), four.weights.size());
+  EXPECT_EQ(std::memcmp(one.weights.data(), four.weights.data(),
+                        one.weights.size() * sizeof(float)),
+            0);
+  ASSERT_EQ(one.steps.size(), four.steps.size());
+  for (std::size_t i = 0; i < one.steps.size(); ++i) {
+    const StepMetrics& a = one.steps[i];
+    const StepMetrics& b = four.steps[i];
+    EXPECT_EQ(a.reconstruction_loss, b.reconstruction_loss) << "step " << i;
+    EXPECT_EQ(a.fidelity_loss, b.fidelity_loss) << "step " << i;
+    EXPECT_EQ(a.adversarial_loss, b.adversarial_loss) << "step " << i;
+    EXPECT_EQ(a.cycle_loss, b.cycle_loss) << "step " << i;
+    EXPECT_EQ(a.latent_loss, b.latent_loss) << "step " << i;
+    EXPECT_EQ(a.discriminator_loss, b.discriminator_loss) << "step " << i;
+  }
+  EXPECT_EQ(one.eval.forward_loss, four.eval.forward_loss);
+  EXPECT_EQ(one.eval.inverse_loss, four.eval.inverse_loss);
+  EXPECT_EQ(one.eval.reconstruction_loss, four.eval.reconstruction_loss);
+  EXPECT_EQ(one.eval.discriminator_accuracy,
+            four.eval.discriminator_accuracy);
+  EXPECT_EQ(one.eval.generator_adversarial, four.eval.generator_adversarial);
 }
 
 TEST(CycleGan, EvaluateDoesNotMutateWeights) {

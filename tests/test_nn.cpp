@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -18,6 +19,7 @@
 #include "nn/parallel.hpp"
 #include "tensor/half.hpp"
 #include "tensor/ops.hpp"
+#include "util/compute_pool.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -507,6 +509,161 @@ TEST(Model, FanOutGradientsAccumulate) {
   model.add_output_gradient(mid, ones);
   model.backward();
   EXPECT_FLOAT_EQ(weights[0]->gradient()[0], 6.0f);
+}
+
+// ---- row passes on the compute team ---------------------------------------------
+
+// Pins the process-wide compute team to `threads` for one scope, then
+// restores the environment default.
+class ScopedTeamSize {
+ public:
+  explicit ScopedTeamSize(std::size_t threads) {
+    util::ComputePool::instance().resize(threads);
+  }
+  ~ScopedTeamSize() {
+    util::ComputePool::instance().resize(util::ComputePool::env_threads());
+  }
+  ScopedTeamSize(const ScopedTeamSize&) = delete;
+  ScopedTeamSize& operator=(const ScopedTeamSize&) = delete;
+};
+
+std::vector<std::uint32_t> bits_of(std::span<const float> values) {
+  std::vector<std::uint32_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
+  return bits;
+}
+
+// Every layer kind: a data input and a differentiable one (which also fans
+// out), FullyConnected with and without bias and with each fused
+// activation, each standalone activation, Dropout, Concat, Slice, a layer
+// wider than one 128-column GEMM block, and two outputs.
+struct ZooModel {
+  Model model{"zoo", 31};
+  LayerId out_a = 0;
+  LayerId out_b = 0;
+  ZooModel() {
+    using Init = FullyConnected::Init;
+    const LayerId data = model.add_input(9, InputKind::Data);
+    const LayerId diff = model.add_input(6);
+    const LayerId fc_relu = model.add(
+        std::make_unique<FullyConnected>(40, true, Init::HeNormal,
+                                         ActivationKind::Relu),
+        {data});
+    const LayerId fc_plain = model.add(
+        std::make_unique<FullyConnected>(24, /*has_bias=*/false), {diff});
+    const LayerId tanh_id = model.add(
+        std::make_unique<Activation>(ActivationKind::Tanh), {fc_plain});
+    const LayerId cat = model.add(std::make_unique<Concat>(), {fc_relu, tanh_id});
+    const LayerId drop = model.add(std::make_unique<Dropout>(0.25f), {cat});
+    const LayerId left = model.add(std::make_unique<Slice>(3, 50), {drop});
+    const LayerId right = model.add(std::make_unique<Slice>(10, 64), {drop});
+    const LayerId wide = model.add(
+        std::make_unique<FullyConnected>(150, true, Init::GlorotUniform,
+                                         ActivationKind::LeakyRelu, 0.1f),
+        {left});
+    const LayerId sig = model.add(
+        std::make_unique<FullyConnected>(33, true, Init::GlorotUniform,
+                                         ActivationKind::Sigmoid),
+        {right});
+    const LayerId leaky = model.add(
+        std::make_unique<Activation>(ActivationKind::LeakyRelu, 0.2f), {sig});
+    const LayerId relu = model.add(
+        std::make_unique<Activation>(ActivationKind::Relu), {wide});
+    const LayerId sigmoid = model.add(
+        std::make_unique<Activation>(ActivationKind::Sigmoid), {leaky});
+    const LayerId joined =
+        model.add(std::make_unique<Concat>(), {relu, sigmoid, diff});
+    out_a = model.add(
+        std::make_unique<FullyConnected>(7, true, Init::GlorotUniform,
+                                         ActivationKind::Tanh),
+        {joined});
+    out_b = model.add_linear(wide, 5);
+  }
+};
+
+struct ZooPass {
+  std::vector<std::vector<std::uint32_t>> outputs;
+  std::vector<std::uint32_t> input_gradient;
+  std::vector<std::uint32_t> weight_gradients;
+  std::vector<std::size_t> hook_order;
+};
+
+ZooPass run_zoo(std::size_t team, std::size_t rows) {
+  const ScopedTeamSize scoped(team);
+  ZooModel zoo;
+  Model& model = zoo.model;
+  const Tensor data = random_batch(rows, 9, 50 + rows);
+  const Tensor diff = random_batch(rows, 6, 60 + rows);
+  const Tensor grad_a = random_batch(rows, 7, 70 + rows);
+  const Tensor grad_b = random_batch(rows, 5, 80 + rows);
+  const std::vector<Weights*> weights = model.weights();
+  ZooPass pass;
+  // Two training passes: the second accumulates into the first's weight
+  // gradients and draws a fresh dropout mask.
+  model.zero_gradients();
+  for (int round = 0; round < 2; ++round) {
+    model.forward({&data, &diff}, /*training=*/true);
+    model.add_output_gradient(zoo.out_a, grad_a);
+    model.add_output_gradient(zoo.out_b, grad_b);
+    model.backward([&](Weights& w) {
+      pass.hook_order.push_back(static_cast<std::size_t>(
+          std::find(weights.begin(), weights.end(), &w) - weights.begin()));
+    });
+  }
+  for (LayerId id = 0; id < model.layer_count(); ++id) {
+    pass.outputs.push_back(bits_of(model.output(id).data()));
+  }
+  pass.input_gradient = bits_of(model.input_gradient(1).data());
+  pass.weight_gradients = bits_of(model.flatten_gradients());
+  return pass;
+}
+
+TEST(Model, RowPassesBitIdenticalAcrossTeamSizes) {
+  for (const std::size_t rows : {1u, 7u, 33u, 128u}) {
+    const ZooPass reference = run_zoo(1, rows);
+    ASSERT_EQ(reference.hook_order.size(), 2 * ZooModel().model.weights().size());
+    for (const std::size_t team : {2u, 3u, 4u, 8u}) {
+      const ZooPass pass = run_zoo(team, rows);
+      EXPECT_EQ(pass.outputs, reference.outputs)
+          << "team " << team << ", rows " << rows;
+      EXPECT_EQ(pass.input_gradient, reference.input_gradient)
+          << "team " << team << ", rows " << rows;
+      EXPECT_EQ(pass.weight_gradients, reference.weight_gradients)
+          << "team " << team << ", rows " << rows;
+      EXPECT_EQ(pass.hook_order, reference.hook_order)
+          << "team " << team << ", rows " << rows;
+    }
+  }
+}
+
+TEST(Model, DataOnlyBackwardMatchesInputGradientsAndKeepsWeights) {
+  const ScopedTeamSize team(4);
+  ZooModel full;
+  ZooModel data_only;
+  const Tensor data = random_batch(33, 9, 90);
+  const Tensor diff = random_batch(33, 6, 91);
+  const Tensor grad_a = random_batch(33, 7, 92);
+  const Tensor grad_b = random_batch(33, 5, 93);
+  for (ZooModel* zoo : {&full, &data_only}) {
+    zoo->model.zero_gradients();
+    zoo->model.forward({&data, &diff}, /*training=*/true);
+    zoo->model.add_output_gradient(zoo->out_a, grad_a);
+    zoo->model.add_output_gradient(zoo->out_b, grad_b);
+  }
+  // Weight gradients the data-only pass must leave alone.
+  float sentinel = 0.5f;
+  for (Weights* w : data_only.model.weights()) {
+    for (float& g : w->gradient().data()) g = (sentinel += 0.25f);
+  }
+  const std::vector<float> before = data_only.model.flatten_gradients();
+
+  full.model.backward();
+  data_only.model.backward_inputs();
+
+  EXPECT_EQ(bits_of(data_only.model.input_gradient(1).data()),
+            bits_of(full.model.input_gradient(1).data()));
+  EXPECT_EQ(bits_of(data_only.model.flatten_gradients()), bits_of(before));
+  EXPECT_THROW(data_only.model.input_gradient(0), InvalidArgument);
 }
 
 TEST(Model, TrainingReducesLossOnRegression) {

@@ -481,6 +481,20 @@ TEST(ComputePool, ExceptionIsRethrownOnlyAfterEveryShareFinishes) {
   }
 }
 
+TEST(ComputePool, TasksAreClaimedNotAssigned) {
+  // A slow task holds up only itself. Had the 8 tasks been cut into one
+  // fixed share per member of a team of 4, task 3 would have waited behind
+  // task 2 in the same share.
+  const ScopedTeamSize team(4);
+  using Clock = std::chrono::steady_clock;
+  std::array<Clock::time_point, 8> finished{};
+  ComputePool::instance().run_tasks(finished.size(), [&](std::size_t t) {
+    if (t == 2) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished[t] = Clock::now();
+  });
+  EXPECT_LT(finished[3], finished[2]);
+}
+
 TEST(ComputePool, NestedRunTasksRunsInline) {
   const ScopedTeamSize team(4);
   constexpr std::size_t kOuter = 4;
@@ -558,19 +572,12 @@ TEST(ComputePool, ResizeBetweenCallsWorks) {
   EXPECT_THROW(pool.resize(0), Error);
 }
 
-// The team belongs to the process that started it. A child forked from a
-// process whose team has workers inherits none of them: its fan-out GEMM
-// must run inline instead of waiting for shares nobody runs, and its resize
-// must start a team of its own without joining the parent's workers.
+// The team belongs to the process that started it. The process launcher
+// forks from a team of one, so a child of a process whose team has workers
+// inherits none of them: its fan-out GEMM runs inline, and its resize
+// starts a team of its own. The parent forks single-threaded, which also
+// lets a thread sanitizer follow the child.
 TEST(ComputePool, ForkedChildRunsInlineThenStartsItsOwnTeam) {
-#if defined(__SANITIZE_THREAD__)
-  // TSan cannot follow a child of a multi-threaded process that starts a
-  // thread: by default it kills the child, and with die_after_fork=0 its
-  // thread registry still holds the parent's workers and aborts when the
-  // child's new thread reuses one of their ids.
-  GTEST_SKIP() << "TSan does not support threads in a child forked from a "
-                  "multi-threaded process";
-#endif
   constexpr std::size_t kN = 128;  // 128^3 multiply-adds: the GEMM fans out
   tensor::Tensor a(kN, kN), b(kN, kN), serial(kN, kN);
   Rng rng(5);
@@ -604,6 +611,8 @@ TEST(ComputePool, ForkedChildRunsInlineThenStartsItsOwnTeam) {
   for (const auto& status : statuses) {
     EXPECT_EQ(status.code, comm::World::kExitClean) << "rank " << status.rank;
   }
+  EXPECT_EQ(ComputePool::instance().size(), 4u)
+      << "the parent gets its team back after the last fork";
 }
 
 TEST(Stopwatch, MeasuresElapsed) {
