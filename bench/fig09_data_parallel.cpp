@@ -25,56 +25,6 @@
 
 namespace {
 
-// Measured (not modelled) comm/compute overlap: a real 4-rank data-parallel
-// trainer with the bucketed gradient all-reduce, small buckets so several
-// ring exchanges are in flight while backward still computes. Every rank
-// draws identical batches (shared reader seed), so replicas stay
-// weight-synchronized exactly like a paper trainer.
-double measure_overlap_fraction() {
-  using namespace ltfb;
-  LTFB_SPAN("bench/overlap_measured");
-  jag::JagConfig jag_config;
-  jag_config.image_size = 8;
-  jag_config.num_channels = 1;
-  const jag::JagModel jag_model(jag_config);
-  data::Dataset dataset = data::generate_jag_dataset(jag_model, 256, 5);
-  const auto norms = data::fit_normalizers(dataset);
-  data::normalize_dataset(dataset, norms);
-
-  constexpr int kRanks = 4;
-  std::array<double, kRanks> overlap{};
-  comm::World::run(kRanks, [&](comm::Communicator& comm) {
-    gan::CycleGanConfig config;
-    config.image_width = jag_config.image_features();
-    config.encoder_hidden = {64, 32};
-    config.decoder_hidden = {32, 64};
-    config.forward_hidden = {32, 32};
-    config.inverse_hidden = {24};
-    config.discriminator_hidden = {24, 12};
-    gan::CycleGan model(config, 42);
-    nn::GradientBucketer bucketer(comm, 64 * 1024);
-    model.set_backward_hook(
-        [&bucketer](nn::Weights& w) { bucketer.on_layer_backward(w); });
-    model.set_gradient_sync(
-        [&bucketer](const std::vector<nn::Model*>& ms) {
-          bucketer.finish(ms);
-        });
-    std::vector<std::size_t> view(dataset.size());
-    std::iota(view.begin(), view.end(), 0);
-    data::MiniBatchReader reader(dataset, view, 128, 7);
-    for (int step = 0; step < 8; ++step) {
-      model.train_step(reader.next());
-    }
-    overlap[static_cast<std::size_t>(comm.rank())] =
-        bucketer.overlap_fraction();
-  });
-  double mean = 0.0;
-  for (const double v : overlap) mean += v;
-  mean /= static_cast<double>(kRanks);
-  LTFB_GAUGE_SET("bench/allreduce_overlap_fraction", mean);
-  return mean;
-}
-
 // Mixed-precision ablation: the same fixed-seed 4-rank data-parallel
 // trainer run twice — fp32 wire vs bf16 wire (with dynamic loss scaling on
 // the bf16 run). Two gates:
@@ -113,7 +63,7 @@ MixedPrecisionRun run_mixed_precision_trainer(ltfb::nn::WireDtype dtype) {
     config.discriminator_hidden = {24, 12};
     config.mixed_precision = dtype != nn::WireDtype::Fp32;
     gan::CycleGan model(config, 42);
-    nn::GradientBucketer bucketer(comm, 64 * 1024, dtype);
+    nn::GradientBucketer bucketer(comm, dtype);
     model.set_backward_hook(
         [&bucketer](nn::Weights& w) { bucketer.on_layer_backward(w); });
     model.set_gradient_sync(
@@ -211,12 +161,6 @@ int main() {
                    util::format_double(last.efficiency * 100.0, 1) + "%"});
   compare.print();
 
-  const double overlap = measure_overlap_fraction();
-  std::cout << "\nmeasured comm/compute overlap (4 ranks, bucketed "
-               "all-reduce): "
-            << util::format_double(overlap * 100.0, 1) << "% of bucket "
-            << "all-reduce time hidden behind backward compute\n";
-
   const bool mixed_ok = run_mixed_precision_ablation();
 
   // Gross shape violations fail the bench.
@@ -224,7 +168,7 @@ int main() {
   for (std::size_t i = 1; i < rows.size(); ++i) {
     ok = ok && rows[i].epoch_s < rows[i - 1].epoch_s;
   }
-  ok = ok && overlap > 0.0 && mixed_ok;
+  ok = ok && mixed_ok;
   if (!ok) {
     std::cerr << "FAIL: Figure 9 shape does not match the paper\n";
     return 1;

@@ -92,10 +92,10 @@ DistributedLtfbOutcome run_distributed_ltfb(
        .world_size = world.size(),
        .world_rank = world.rank()});
 
-  // Data-parallel gradient averaging across the trainer's ranks, overlapped
-  // with backward compute: each layer's gradients stream into the bucketer
-  // as its backward completes, and the optimizer-step sync only waits out
-  // whatever communication backprop could not hide.
+  // Data-parallel gradient averaging across the trainer's ranks: each
+  // model's final backward pass packs its gradients into the bucketer, and
+  // the optimizer-step sync averages them with one ring all-reduce under
+  // the exchange deadline.
   std::optional<nn::GradientBucketer> bucketer;
   if (rpt > 1) {
     bucketer.emplace(trainer_comm);

@@ -71,7 +71,7 @@ namespace ltfb::core {
 // -- scheduler tag namespaces -------------------------------------------------
 //
 // Distinct from tournament exchanges (tag = round < 1<<20), gradient
-// buckets (nn/parallel.cpp, 1<<20) and metric aggregation (1<<24), and far
+// rings (nn/parallel.cpp, 1<<20) and metric aggregation (1<<24), and far
 // below the Communicator's internal bit-62 reserve. Each base gets a
 // 1<<20-wide round window; the bases are spaced >= 4M apart so the windows
 // can never overlap.

@@ -134,7 +134,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   scale_loss_grad(d_grad);
   discriminator_.add_output_gradient(disc_out_, d_grad);
   // Second, accumulating backward: only now are the critic's gradients
-  // final, so only this pass carries the overlap hook.
+  // final, so only this pass carries the backward hook.
   discriminator_.backward(backward_hook_);
   if (sync_) sync_({&discriminator_});
   observe_gradients({&discriminator_});

@@ -179,8 +179,8 @@ class CycleGan {
 
   /// Gradient hand-off seam: fires per weights object at the end of the
   /// FINAL backward pass of each model that the following GradientSync
-  /// covers (nn::Model::backward(hook) semantics), so a bucketed all-reduce
-  /// can pack and launch a layer's gradients as the hook reaches it.
+  /// covers (nn::Model::backward(hook) semantics), so nn::GradientBucketer
+  /// can pack each layer's gradients for the sync's one ring all-reduce.
   /// Data-only passes (the generator phase's decoder/discriminator passes)
   /// and accumulating first passes (the discriminator's real-batch pass)
   /// never see the hook.

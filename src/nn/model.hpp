@@ -96,8 +96,8 @@ class Model {
 
   /// Per-weights completion hook: once the weight gradients of the pass
   /// are final, `hook` fires with each weights object of every layer that
-  /// received a gradient, in reverse-layer order. The bucketed all-reduce
-  /// (nn::GradientBucketer) hangs off this seam. Only pass a hook on a
+  /// received a gradient, in reverse-layer order. The gradient all-reduce
+  /// (nn::GradientBucketer) packs from this seam. Only pass a hook on a
   /// model's FINAL backward call before its gradients are consumed: a
   /// gradient-accumulating second backward would fire the hook on partial
   /// sums.

@@ -110,7 +110,7 @@ void Adam::update(std::span<float> weights, std::span<const float> gradient,
     const float g = gradient[i];
     m[i] = beta1 * m[i] + (1.0f - beta1) * g;
     v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
-    weights[i] -= alpha * m[i] / (std::sqrt(v[i]) + epsilon);
+    weights[i] -= alpha * m[i] / (tensor::simd::sqrt1(v[i]) + epsilon);
   }
 }
 

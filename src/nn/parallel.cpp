@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "nn/optimizer.hpp"
 #include "telemetry/telemetry.hpp"
@@ -13,26 +14,25 @@
 namespace ltfb::nn {
 namespace {
 
-// Bucket all-reduce tags live far above the small hand-picked tags the rest
-// of the tree uses, and far below the bit-62 internal-collective range the
-// communicator reserves for itself. Bucket packing is deterministic and
-// identical on every rank, so a monotonic sequence yields matching tags
+// Gradient ring tags live in [1<<20, 1<<24): above the small hand-picked
+// tags the rest of the tree uses, below the metric-aggregation tags, and
+// far below the bit-62 internal-collective range the communicator reserves
+// for itself. Every ring step takes the next tag of one sequence, which
+// every rank runs identically (same syncs, same steps), so tags match
 // everywhere; FIFO matching per (source, tag) makes eventual wrap-around
-// reuse safe.
+// reuse safe. Distinct tags per step matter under loss: a dropped chunk
+// leaves its receiver waiting out the deadline instead of taking the next
+// step's chunk in its place.
 constexpr int kBucketTagBase = 1 << 20;
-constexpr int kBucketTagRange = 1 << 24;
-
-constexpr std::size_t kDefaultBucketBytes = 1u << 20;  // 1 MiB
-
-std::uint64_t steady_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+constexpr int kBucketTagRange = (1 << 24) - kBucketTagBase;
 
 int ring_chunk(int index, int ranks) noexcept {
   return ((index % ranks) + ranks) % ranks;
+}
+
+tensor::HalfKind half_kind(WireDtype dtype) noexcept {
+  return dtype == WireDtype::Fp16 ? tensor::HalfKind::Fp16
+                                  : tensor::HalfKind::Bf16;
 }
 
 std::uint64_t fnv1a_append(std::uint64_t hash, float value) noexcept {
@@ -96,29 +96,17 @@ const char* to_string(WireDtype dtype) noexcept {
   return "?";
 }
 
-GradientBucketer::GradientBucketer(comm::Communicator& comm,
-                                   std::size_t bucket_bytes)
-    : GradientBucketer(comm, bucket_bytes, wire_dtype_from_env()) {}
+GradientBucketer::GradientBucketer(comm::Communicator& comm)
+    : GradientBucketer(comm, wire_dtype_from_env()) {}
 
 GradientBucketer::GradientBucketer(comm::Communicator& comm,
-                                   std::size_t bucket_bytes,
                                    WireDtype wire_dtype)
     : comm_(comm), wire_dtype_(wire_dtype) {
-  if (bucket_bytes == 0) bucket_bytes = bucket_bytes_from_env();
-  LTFB_CHECK_MSG(bucket_bytes >= sizeof(float),
-                 "bucket size " << bucket_bytes << " B below one float");
-  cap_floats_ = bucket_bytes / sizeof(float);
-}
-
-std::size_t GradientBucketer::bucket_bytes_from_env() {
-  const char* raw = std::getenv("LTFB_ALLREDUCE_BUCKET_BYTES");
-  if (raw == nullptr || *raw == '\0') return kDefaultBucketBytes;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  LTFB_CHECK_MSG(end != raw && *end == '\0' && parsed >= sizeof(float),
-                 "LTFB_ALLREDUCE_BUCKET_BYTES='"
-                     << raw << "' is not a byte count >= " << sizeof(float));
-  return static_cast<std::size_t>(parsed);
+  LTFB_CHECK_MSG(wire_dtype == WireDtype::Fp32 ||
+                     wire_dtype == WireDtype::Bf16 ||
+                     wire_dtype == WireDtype::Fp16,
+                 "unknown gradient wire dtype "
+                     << static_cast<int>(wire_dtype));
 }
 
 WireDtype GradientBucketer::wire_dtype_from_env() {
@@ -135,171 +123,10 @@ WireDtype GradientBucketer::wire_dtype_from_env() {
 }
 
 void GradientBucketer::on_layer_backward(Weights& w) {
-  if (comm_.size() == 1) return;
-  pump();
-  if (w.size() == 0) return;
-  if (!open_.data.empty() && open_.data.size() + w.size() > cap_floats_) {
-    launch(open_);
-  }
-  const std::size_t offset = open_.data.size();
+  if (comm_.size() == 1 || w.size() == 0) return;
   const auto grad = w.gradient().data();
-  open_.data.insert(open_.data.end(), grad.begin(), grad.end());
-  open_.entries.push_back(Entry{&w, offset});
-  packed_floats_ += w.size();
-  if (open_.data.size() >= cap_floats_) {
-    launch(open_);
-  }
-}
-
-void GradientBucketer::launch(Bucket& bucket) {
-  LTFB_CHECK(!bucket.data.empty());
-  const int ranks = comm_.size();
-  bucket.tag = kBucketTagBase + bucket_seq_;
-  bucket_seq_ = (bucket_seq_ + 1) % kBucketTagRange;
-  // Ring chunk table: chunk i spans [offsets[i], offsets[i+1]). Short
-  // buckets leave trailing chunks empty — those steps still exchange
-  // (empty) messages so the ring stays in lockstep.
-  const std::size_t base = bucket.data.size() / static_cast<std::size_t>(ranks);
-  const std::size_t rem = bucket.data.size() % static_cast<std::size_t>(ranks);
-  bucket.offsets.assign(static_cast<std::size_t>(ranks) + 1, 0);
-  for (std::size_t i = 0; i < static_cast<std::size_t>(ranks); ++i) {
-    bucket.offsets[i + 1] =
-        bucket.offsets[i] + base + (i < rem ? 1 : 0);
-  }
-  bucket.step = 0;
-  bucket.launch_ns = steady_ns();
-  send_for_step(bucket, 0);
-  const int left = ring_chunk(comm_.rank() - 1, ranks);
-  bucket.pending = comm_.irecv(left, bucket.tag);
-  // &bucket aliases open_ when called from the packing path: move the
-  // launched state out and reset the open bucket for the next layer.
-  if (&bucket == &open_) {
-    in_flight_.push_back(std::move(open_));
-    open_ = Bucket{};
-  }
-}
-
-void GradientBucketer::send_for_step(Bucket& bucket, int step) {
-  const int ranks = comm_.size();
-  const int rank = comm_.rank();
-  const int right = ring_chunk(rank + 1, ranks);
-  // Reduce-scatter steps s in [0, p-1) send chunk (rank - s); all-gather
-  // steps send chunk (rank + 1 - t) where t = s - (p - 1).
-  const int chunk = step < ranks - 1
-                        ? ring_chunk(rank - step, ranks)
-                        : ring_chunk(rank + 1 - (step - (ranks - 1)), ranks);
-  const std::size_t begin = bucket.offsets[static_cast<std::size_t>(chunk)];
-  const std::size_t end = bucket.offsets[static_cast<std::size_t>(chunk) + 1];
-  const std::size_t count = end - begin;
-  if (wire_dtype_ == WireDtype::Fp32) {
-    comm_.send(right, bucket.tag,
-               std::span<const float>(bucket.data.data() + begin, count));
-    wire_bytes_ += count * sizeof(float);
-    LTFB_COUNTER_ADD("nn/allreduce_wire_bytes", count * sizeof(float));
-    return;
-  }
-  const tensor::HalfKind kind = wire_dtype_ == WireDtype::Fp16
-                                    ? tensor::HalfKind::Fp16
-                                    : tensor::HalfKind::Bf16;
-  if (step == ranks - 1) {
-    // First all-gather send: this rank owns the fully-reduced chunk, which
-    // every peer will only ever see through the half encoding. Quantize the
-    // owner's own copy in place so all ranks converge on the identical
-    // half-representable values (later forwards then re-encode losslessly).
-    float* mine = bucket.data.data() + begin;
-    for (std::size_t i = 0; i < count; ++i) {
-      mine[i] = tensor::quantize(mine[i], kind);
-    }
-  }
-  half_scratch_.resize(count);
-  tensor::encode_half(
-      std::span<const float>(bucket.data.data() + begin, count),
-      std::span<std::uint16_t>(half_scratch_.data(), count), kind);
-  comm::Buffer payload(count * sizeof(std::uint16_t));
-  std::memcpy(payload.data(), half_scratch_.data(), payload.size());
-  comm_.send(right, bucket.tag, payload);
-  wire_bytes_ += payload.size();
-  LTFB_COUNTER_ADD("nn/allreduce_wire_bytes", payload.size());
-}
-
-bool GradientBucketer::apply_completed_step(Bucket& bucket) {
-  const int ranks = comm_.size();
-  const int rank = comm_.rank();
-  const comm::Buffer payload = comm_.take_payload(bucket.pending);
-  std::vector<float> incoming;
-  if (wire_dtype_ == WireDtype::Fp32) {
-    incoming = comm::Deserializer::unpack_floats(payload);
-  } else {
-    LTFB_CHECK_MSG(payload.size() % sizeof(std::uint16_t) == 0,
-                   "half-precision bucket payload of " << payload.size()
-                                                       << " bytes is odd");
-    const std::size_t count = payload.size() / sizeof(std::uint16_t);
-    half_scratch_.resize(count);
-    std::memcpy(half_scratch_.data(), payload.data(), payload.size());
-    incoming.resize(count);
-    tensor::decode_half(
-        std::span<const std::uint16_t>(half_scratch_.data(), count),
-        std::span<float>(incoming.data(), count),
-        wire_dtype_ == WireDtype::Fp16 ? tensor::HalfKind::Fp16
-                                       : tensor::HalfKind::Bf16);
-  }
-  const int step = bucket.step;
-  const bool reduce_phase = step < ranks - 1;
-  const int chunk =
-      reduce_phase ? ring_chunk(rank - step - 1, ranks)
-                   : ring_chunk(rank - (step - (ranks - 1)), ranks);
-  const std::size_t begin = bucket.offsets[static_cast<std::size_t>(chunk)];
-  const std::size_t end = bucket.offsets[static_cast<std::size_t>(chunk) + 1];
-  LTFB_CHECK_MSG(incoming.size() == end - begin,
-                 "bucket tag " << bucket.tag << " step " << step
-                               << " received " << incoming.size()
-                               << " floats, expected " << end - begin);
-  float* mine = bucket.data.data() + begin;
-  if (reduce_phase) {
-    tensor::axpy(1.0f, incoming, std::span<float>(mine, incoming.size()));
-  } else {
-    std::copy(incoming.begin(), incoming.end(), mine);
-  }
-  ++bucket.step;
-  if (bucket.step < 2 * (ranks - 1)) {
-    send_for_step(bucket, bucket.step);
-    const int left = ring_chunk(rank - 1, ranks);
-    bucket.pending = comm_.irecv(left, bucket.tag);
-    return false;
-  }
-  complete(bucket);
-  return true;
-}
-
-void GradientBucketer::pump() {
-  for (Bucket& bucket : in_flight_) {
-    while (!bucket.done && bucket.pending.test()) {
-      apply_completed_step(bucket);
-    }
-  }
-}
-
-void GradientBucketer::complete(Bucket& bucket) {
-  tensor::scale(1.0f / static_cast<float>(comm_.size()),
-                std::span<float>(bucket.data));
-  for (const Entry& entry : bucket.entries) {
-    auto grad = entry.weights->gradient().data();
-    std::copy_n(bucket.data.begin() +
-                    static_cast<std::ptrdiff_t>(entry.offset),
-                grad.size(), grad.begin());
-  }
-  bucket.done = true;
-  const std::uint64_t window = steady_ns() - bucket.launch_ns;
-  comm_window_ns_ += window;
-  ++buckets_done_;
-  bytes_reduced_ += bucket.data.size() * sizeof(float);
-  LTFB_COUNTER_ADD("nn/allreduce_buckets", 1);
-  LTFB_COUNTER_ADD("nn/allreduce_bytes", bucket.data.size() * sizeof(float));
-  if (telemetry::enabled()) {
-    const std::uint64_t end_ns = telemetry::now_ns();
-    telemetry::Registry::instance().record_span(
-        "nn/allreduce_overlap", end_ns - std::min(end_ns, window), window);
-  }
+  packed_.insert(packed_.end(), grad.begin(), grad.end());
+  packed_weights_.push_back(&w);
 }
 
 void GradientBucketer::finish(const std::vector<Model*>& models) {
@@ -314,40 +141,122 @@ void GradientBucketer::finish(const std::vector<Model*>& models,
     LTFB_CHECK(model != nullptr);
     expected += model->parameter_count();
   }
-  LTFB_CHECK_MSG(packed_floats_ == expected,
-                 "bucketed all-reduce packed "
-                     << packed_floats_ << " gradients but the sync covers "
+  LTFB_CHECK_MSG(packed_.size() == expected,
+                 "gradient all-reduce packed "
+                     << packed_.size() << " gradients but the sync covers "
                      << expected
                      << " parameters; backward hook missing or doubled");
-  if (!open_.data.empty()) launch(open_);
+  if (packed_.empty()) return;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  const std::uint64_t blocked_start = steady_ns();
-  for (Bucket& bucket : in_flight_) {
-    while (!bucket.done) {
-      if (!bucket.pending.test()) {
-        // Request::wait(0ms) throws TimeoutError immediately when the
-        // deadline has already passed; the bucketer is not reusable after
-        // a timeout or rank failure (the trainer aborts the round).
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-        bucket.pending.wait(std::max(remaining,
-                                     std::chrono::milliseconds(0)));
-      }
-      apply_completed_step(bucket);
-    }
+  const int ranks = comm_.size();
+  const int rank = comm_.rank();
+
+  // Ring chunk table: chunk i spans [offsets[i], offsets[i+1]). Short
+  // groups leave trailing chunks empty — those steps still exchange
+  // (empty) messages so the ring stays in lockstep.
+  const auto n = static_cast<std::size_t>(ranks);
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    offsets[i + 1] = offsets[i] + packed_.size() / n +
+                     (i < packed_.size() % n ? 1 : 0);
   }
-  blocked_ns_ += steady_ns() - blocked_start;
-  in_flight_.clear();
-  packed_floats_ = 0;
-  LTFB_GAUGE_SET("nn/allreduce_overlap_fraction", overlap_fraction());
+  auto chunk = [&](int index) {
+    const auto i = static_cast<std::size_t>(ring_chunk(index, ranks));
+    return std::span<float>(packed_.data() + offsets[i],
+                            offsets[i + 1] - offsets[i]);
+  };
+
+  // Reduce-scatter steps s in [0, p-1) send chunk (rank - s) and add into
+  // chunk (rank - s - 1); all-gather steps t = s - (p - 1) send chunk
+  // (rank + 1 - t) and overwrite chunk (rank - t).
+  for (int step = 0; step < 2 * (ranks - 1); ++step) {
+    const bool reduce = step < ranks - 1;
+    const int t = step - (ranks - 1);
+    const int tag = kBucketTagBase + tag_seq_;
+    tag_seq_ = (tag_seq_ + 1) % kBucketTagRange;
+    send_chunk(tag, reduce ? chunk(rank - step) : chunk(rank + 1 - t),
+               step == ranks - 1);
+    const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (budget.count() <= 0) {
+      throw TimeoutError("gradient all-reduce spent its " +
+                         std::to_string(timeout.count()) +
+                         "ms budget before ring step " +
+                         std::to_string(step) + " (tag " +
+                         std::to_string(tag) + ")");
+    }
+    receive_chunk(tag, step, budget,
+                  reduce ? chunk(rank - step - 1) : chunk(rank - t), reduce);
+  }
+
+  tensor::scale(1.0f / static_cast<float>(ranks), std::span<float>(packed_));
+  std::size_t offset = 0;
+  for (Weights* w : packed_weights_) {
+    auto grad = w->gradient().data();
+    std::copy_n(packed_.begin() + static_cast<std::ptrdiff_t>(offset),
+                grad.size(), grad.begin());
+    offset += grad.size();
+  }
+  ++buckets_done_;
+  bytes_reduced_ += packed_.size() * sizeof(float);
+  LTFB_COUNTER_ADD("nn/allreduce_buckets", 1);
+  LTFB_COUNTER_ADD("nn/allreduce_bytes", packed_.size() * sizeof(float));
+  packed_.clear();
+  packed_weights_.clear();
 }
 
-double GradientBucketer::overlap_fraction() const noexcept {
-  if (comm_window_ns_ == 0) return 0.0;
-  const std::uint64_t blocked = std::min(blocked_ns_, comm_window_ns_);
-  return 1.0 - static_cast<double>(blocked) /
-                   static_cast<double>(comm_window_ns_);
+void GradientBucketer::send_chunk(int tag, std::span<float> chunk,
+                                  bool owner) {
+  const int right = ring_chunk(comm_.rank() + 1, comm_.size());
+  if (wire_dtype_ == WireDtype::Fp32) {
+    comm_.send(right, tag, std::span<const float>(chunk));
+    wire_bytes_ += chunk.size() * sizeof(float);
+    LTFB_COUNTER_ADD("nn/allreduce_wire_bytes", chunk.size() * sizeof(float));
+    return;
+  }
+  const tensor::HalfKind kind = half_kind(wire_dtype_);
+  if (owner) {
+    // This rank owns the fully-reduced chunk, which every peer will only
+    // ever see through the half encoding. Quantize the owner's own copy in
+    // place so all ranks converge on the identical half-representable
+    // values (later forwards then re-encode losslessly).
+    for (float& value : chunk) value = tensor::quantize(value, kind);
+  }
+  half_scratch_.resize(chunk.size());
+  tensor::encode_half(chunk, half_scratch_, kind);
+  comm::Buffer payload(chunk.size() * sizeof(std::uint16_t));
+  std::memcpy(payload.data(), half_scratch_.data(), payload.size());
+  comm_.send(right, tag, payload);
+  wire_bytes_ += payload.size();
+  LTFB_COUNTER_ADD("nn/allreduce_wire_bytes", payload.size());
+}
+
+void GradientBucketer::receive_chunk(int tag, int step, comm::Deadline budget,
+                                     std::span<float> chunk, bool reduce) {
+  const int left = ring_chunk(comm_.rank() - 1, comm_.size());
+  const comm::Buffer payload = comm_.recv(left, tag, budget);
+  std::vector<float> incoming;
+  if (wire_dtype_ == WireDtype::Fp32) {
+    incoming = comm::Deserializer::unpack_floats(payload);
+  } else {
+    LTFB_CHECK_MSG(payload.size() % sizeof(std::uint16_t) == 0,
+                   "half-precision gradient payload of " << payload.size()
+                                                         << " bytes is odd");
+    const std::size_t count = payload.size() / sizeof(std::uint16_t);
+    half_scratch_.resize(count);
+    std::memcpy(half_scratch_.data(), payload.data(), payload.size());
+    incoming.resize(count);
+    tensor::decode_half(half_scratch_, incoming, half_kind(wire_dtype_));
+  }
+  LTFB_CHECK_MSG(incoming.size() == chunk.size(),
+                 "gradient ring tag " << tag << " step " << step
+                                      << " received " << incoming.size()
+                                      << " floats, expected " << chunk.size());
+  if (reduce) {
+    tensor::axpy(1.0f, incoming, chunk);
+  } else {
+    std::copy(incoming.begin(), incoming.end(), chunk.begin());
+  }
 }
 
 }  // namespace ltfb::nn

@@ -1,24 +1,24 @@
 // Data-parallel training hooks.
 //
 // Within a trainer, LBANN distributes the samples of each mini-batch across
-// ranks and averages gradients with an all-reduce during back propagation.
+// ranks and averages gradients with an all-reduce after back propagation.
 // Two flavours live here:
 //
 //   * allreduce_gradients — the simple blocking path: flatten every
-//     gradient into one bucket, ring-all-reduce it over the trainer
+//     gradient into one buffer, Communicator::allreduce it over the trainer
 //     communicator, scale by 1/ranks, scatter back.
-//   * GradientBucketer — the overlapped path (Aluminum's bucketed
-//     all-reduce): gradients stream into fixed-size buckets in
-//     reverse-layer order as each layer's backward completes (the
-//     Model::backward hook seam), every full bucket launches a
-//     NONBLOCKING ring all-reduce immediately, and the optimizer-step
-//     barrier only waits for whatever communication backprop failed to
-//     hide. The paper's throughput numbers rest on exactly this
-//     comm/compute overlap.
+//   * GradientBucketer — the trainer path: the Model::backward hook packs
+//     each layer's gradients in hook (reverse-layer) order, and the
+//     optimizer-step sync runs ONE ring all-reduce over the packed floats
+//     under a deadline, with an optional half-precision wire. The paper's
+//     Aluminum overlaps that ring with backprop; here the hook fires only
+//     once a model's whole weight stage is done, so nothing is left to
+//     overlap and the ring simply runs at the sync.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -27,10 +27,10 @@
 
 namespace ltfb::nn {
 
-/// On-the-wire encoding for bucketed gradient all-reduce payloads. The
-/// bucket itself always accumulates in fp32 (ring reduction adds decoded
-/// fp32 values); reduced-precision dtypes only halve what each hop ships.
-/// Bf16 is the gradient-friendly choice: fp32's full exponent range, so no
+/// On-the-wire encoding for gradient all-reduce payloads. The packed
+/// gradients always accumulate in fp32 (ring reduction adds decoded fp32
+/// values); reduced-precision dtypes only halve what each hop ships. Bf16
+/// is the gradient-friendly choice: fp32's full exponent range, so no
 /// loss-scale interplay with overflow on the wire.
 enum class WireDtype { Fp32, Bf16, Fp16 };
 
@@ -51,7 +51,7 @@ void broadcast_weights(Model& model, comm::Communicator& comm, int root = 0);
 /// odds of FNV — a consistency check, not a cryptographic proof.
 bool weights_in_sync(Model& model, comm::Communicator& comm);
 
-/// Overlapped bucketed gradient all-reduce.
+/// Hook-packed gradient all-reduce: one ring per sync group.
 ///
 /// Usage (one instance per rank, over the trainer communicator):
 ///
@@ -59,59 +59,60 @@ bool weights_in_sync(Model& model, comm::Communicator& comm);
 ///   model.set_backward_hook([&](Weights& w) {
 ///     bucketer.on_layer_backward(w); });
 ///   model.set_gradient_sync([&](const std::vector<nn::Model*>& ms) {
-///     bucketer.finish(ms); });
+///     bucketer.finish(ms, deadline); });
 ///
 /// Every rank must run a structurally identical model, so hooks fire in
-/// the same order everywhere and all ranks assemble identical bucket
-/// layouts (same sizes, same tags) — the collective correctness
-/// requirement. All calls must come from the rank's own thread (the
-/// communicator single-thread contract).
+/// the same order everywhere and all ranks pack identical layouts — the
+/// collective correctness requirement. All calls must come from the rank's
+/// own thread (the communicator single-thread contract).
 ///
-/// Fault behaviour: a peer dying mid-exchange surfaces as
-/// ltfb::RankFailedError from the next hook or from finish(); the deadline
-/// overload of finish() throws ltfb::TimeoutError instead of hanging when
-/// traffic is lost (fault-injection drop schedules).
+/// The ring is the same reduce-scatter + all-gather as
+/// Communicator::allreduce (same chunk table, step order and reduction),
+/// so at the fp32 wire its result is bit-identical to that collective over
+/// the packed floats. It is run on user-level messages instead because it
+/// needs what the collective lacks: a deadline, a half-precision wire, and
+/// messages that fault-injection drop schedules can address.
+///
+/// Fault behaviour: a peer dying mid-ring surfaces as ltfb::RankFailedError
+/// from finish(); once finish()'s time budget is spent it throws
+/// ltfb::TimeoutError instead of hanging when traffic is lost. The
+/// bucketer is not reusable after either error (the trainer aborts the
+/// round).
 class GradientBucketer {
  public:
-  /// `bucket_bytes` caps a bucket's payload; 0 selects
-  /// bucket_bytes_from_env(). A single weights tensor larger than the cap
-  /// gets its own oversized bucket (tensors are never split). Every rank
-  /// must construct with the same wire dtype (enforced indirectly: a
-  /// mismatch trips the payload-size check on the first exchange).
-  explicit GradientBucketer(comm::Communicator& comm,
-                            std::size_t bucket_bytes = 0);
-  GradientBucketer(comm::Communicator& comm, std::size_t bucket_bytes,
-                   WireDtype wire_dtype);
+  /// Every rank must construct with the same wire dtype (enforced
+  /// indirectly: a mismatch trips the payload-size check on the first
+  /// exchange). The one-argument form reads wire_dtype_from_env().
+  explicit GradientBucketer(comm::Communicator& comm);
+  GradientBucketer(comm::Communicator& comm, WireDtype wire_dtype);
 
   GradientBucketer(const GradientBucketer&) = delete;
   GradientBucketer& operator=(const GradientBucketer&) = delete;
-
-  /// LTFB_ALLREDUCE_BUCKET_BYTES, default 1 MiB.
-  static std::size_t bucket_bytes_from_env();
 
   /// LTFB_ALLREDUCE_DTYPE (fp32|bf16|fp16) when set; otherwise bf16 under
   /// LTFB_MIXED_PRECISION=1 and fp32 elsewhere.
   static WireDtype wire_dtype_from_env();
 
-  /// Backward-hook entry: packs `w`'s gradient, launches the bucket once
-  /// full, and pumps completion of earlier in-flight buckets.
+  /// Backward-hook entry: appends `w`'s gradient to the sync group's
+  /// packed buffer. No communication.
   void on_layer_backward(Weights& w);
 
-  /// Optimizer-step barrier: flushes the partial bucket, drives every
-  /// in-flight all-reduce to completion, and scatters the averaged
-  /// gradients back into the weights objects packed since the last finish.
-  /// `models` is the coverage contract — their summed parameter counts
-  /// must equal what the hooks packed (catches a missing/doubled hook).
+  /// Optimizer-step barrier: ring all-reduces everything packed since the
+  /// last finish, scales by 1/ranks and scatters the averaged gradients
+  /// back into the packed weights objects. `models` is the coverage
+  /// contract — their summed parameter counts must equal what the hooks
+  /// packed (catches a missing/doubled hook). `timeout` bounds the whole
+  /// ring; the one-argument form allows 24 hours.
   void finish(const std::vector<Model*>& models);
   void finish(const std::vector<Model*>& models,
               std::chrono::milliseconds timeout);
 
-  /// Fraction of bucket all-reduce time hidden behind backward compute
-  /// since construction: 1 − (time blocked in finish) / (total bucket
-  /// in-flight time). 0 when nothing has been reduced yet.
-  double overlap_fraction() const noexcept;
+  /// Always 0: the ring runs entirely inside finish(), after the backward
+  /// pass that fed it, so no all-reduce time hides behind compute.
+  /// ltfb_bench still reports it as allreduce.overlap_frac.
+  double overlap_fraction() const noexcept { return 0.0; }
 
-  std::size_t bucket_capacity_floats() const noexcept { return cap_floats_; }
+  /// Ring all-reduces run: one per finish() that had gradients to sync.
   std::uint64_t buckets_completed() const noexcept { return buckets_done_; }
   /// Logical bytes reduced (gradient floats * 4), independent of encoding.
   std::uint64_t bytes_reduced() const noexcept { return bytes_reduced_; }
@@ -121,42 +122,24 @@ class GradientBucketer {
   WireDtype wire_dtype() const noexcept { return wire_dtype_; }
 
  private:
-  struct Entry {
-    Weights* weights;
-    std::size_t offset;  // into Bucket::data
-  };
-
-  struct Bucket {
-    std::vector<float> data;
-    std::vector<Entry> entries;
-    int tag = 0;
-    int step = 0;  // protocol steps completed, in [0, 2*(p-1)]
-    std::vector<std::size_t> offsets;  // p+1 ring-chunk boundaries
-    comm::Request pending;
-    std::uint64_t launch_ns = 0;  // steady-clock, for overlap accounting
-    bool done = false;
-  };
-
-  void launch(Bucket& bucket);
-  void send_for_step(Bucket& bucket, int step);
-  bool apply_completed_step(Bucket& bucket);  // true once bucket is done
-  void pump();                                // nonblocking progress
-  void complete(Bucket& bucket);              // scale + scatter + stats
+  /// Ships `chunk` to the right neighbour in the wire dtype. `owner` marks
+  /// the first all-gather step, whose chunk this rank fully reduced.
+  void send_chunk(int tag, std::span<float> chunk, bool owner);
+  /// Receives the left neighbour's step-`step` chunk within `budget` and
+  /// adds it into (`reduce`) or copies it over `chunk`.
+  void receive_chunk(int tag, int step, comm::Deadline budget,
+                     std::span<float> chunk, bool reduce);
 
   comm::Communicator& comm_;
-  std::size_t cap_floats_;
   WireDtype wire_dtype_;
+  std::vector<float> packed_;               // gradients in hook order
+  std::vector<Weights*> packed_weights_;    // whose gradients, same order
   std::vector<std::uint16_t> half_scratch_;  // encode/decode staging
-  Bucket open_;                    // accumulating, not yet launched
-  std::vector<Bucket> in_flight_;  // launched, racing backward compute
-  std::size_t packed_floats_ = 0;  // since last finish (coverage check)
-  int bucket_seq_ = 0;             // tag source; same sequence on all ranks
+  int tag_seq_ = 0;  // one tag per ring step; same sequence on all ranks
 
   std::uint64_t buckets_done_ = 0;
   std::uint64_t bytes_reduced_ = 0;
   std::uint64_t wire_bytes_ = 0;
-  std::uint64_t comm_window_ns_ = 0;  // Σ launch→done per bucket
-  std::uint64_t blocked_ns_ = 0;      // time spent waiting inside finish
 };
 
 }  // namespace ltfb::nn

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -375,9 +376,19 @@ bool write_postmortem_impl(const char* kind, const char* reason, int rank,
   if (rank < 0) rank = g_process_rank.load(std::memory_order_relaxed);
   if (rank < 0) rank = telemetry::bound_rank();
 
+  // Write `<path>.tmp`, then rename() it into place (both calls are
+  // async-signal-safe): a reader polling for the final path never sees a
+  // partial dump.
   char path[kMaxDirLen + 64];
   build_path(path, rank);
-  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  char tmp_path[sizeof(path) + 4];
+  std::size_t len = 0;
+  while ((tmp_path[len] = path[len]) != '\0') ++len;
+  const char suffix[] = ".tmp";
+  for (std::size_t i = 0; i < sizeof(suffix); ++i) {
+    tmp_path[len + i] = suffix[i];
+  }
+  const int fd = ::open(tmp_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     g_in_dump.store(0, std::memory_order_relaxed);
     return false;
@@ -469,8 +480,9 @@ bool write_postmortem_impl(const char* kind, const char* reason, int rank,
   sink.raw("]}\n");
   sink.flush();
   ::close(fd);
+  const bool placed = ::rename(tmp_path, path) == 0;
   g_in_dump.store(0, std::memory_order_relaxed);
-  return true;
+  return placed;
 }
 
 extern "C" void ltfb_flight_crash_handler(int sig) {

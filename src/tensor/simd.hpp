@@ -26,6 +26,19 @@
 
 namespace ltfb::tensor::simd {
 
+/// IEEE square root of one float: the scalar sqrt instruction on x86,
+/// without the errno branch (and sqrtf call) std::sqrt carries under the
+/// default -fmath-errno. Correctly rounded either way, so the result is
+/// bit-identical to std::sqrt.
+inline float sqrt1(float x) {
+#if defined(__SSE__)
+  using v4 = float __attribute__((vector_size(16)));
+  return __builtin_ia32_sqrtss(v4{x, 0.0f, 0.0f, 0.0f})[0];
+#else
+  return std::sqrt(x);
+#endif
+}
+
 /// Vector width (in floats) this build was compiled for.
 inline constexpr std::size_t kNativeWidth = LTFB_SIMD_WIDTH;
 
@@ -117,12 +130,18 @@ struct vec {
   }
 
   /// Lanewise IEEE square root (correctly rounded, so identical to the
-  /// scalar std::sqrt per element). The per-lane loop vectorizes to the
-  /// native sqrt instruction under the wide builds.
+  /// scalar std::sqrt per element). A per-lane std::sqrt loop does NOT
+  /// vectorize under the default -fmath-errno: GCC spills the vector and
+  /// runs one scalar sqrt per lane with an errno branch to sqrtf. So the
+  /// AVX build emits the packed instruction directly; other widths take
+  /// the lane loop over sqrt1.
   vec sqrt() const {
+#if defined(__AVX__)
+    if constexpr (W == 8) return vec{__builtin_ia32_sqrtps256(v)};
+#endif
     vec r;
     for (std::size_t i = 0; i < W; ++i) {
-      r.v[static_cast<int>(i)] = std::sqrt(v[static_cast<int>(i)]);
+      r.v[static_cast<int>(i)] = sqrt1(v[static_cast<int>(i)]);
     }
     return r;
   }
@@ -184,7 +203,7 @@ struct vec<1> {
     return vec{hi.v < t ? hi.v : t};
   }
 
-  vec sqrt() const { return vec{std::sqrt(v)}; }
+  vec sqrt() const { return vec{sqrt1(v)}; }
   float hsum() const { return v; }
 };
 

@@ -291,8 +291,9 @@ TEST(FailureAwareComm, DelayedMessageIsDeliveredIntact) {
 
 // ---- bucketed all-reduce under faults ------------------------------------------------
 
-// Small multi-layer model + tiny buckets: several concurrent ring
-// exchanges in flight, so an injected fault lands mid-protocol.
+// Small multi-layer model, all of its gradients averaged by one ring
+// (2 * (p - 1) steps of one send then one receive), so an injected fault
+// lands mid-protocol.
 void run_bucketed_sync(comm::Communicator& comm, milliseconds timeout) {
   nn::Model model("m", 100);  // same seed -> same structure on every rank
   const nn::LayerId in = model.add_input(6);
@@ -301,7 +302,7 @@ void run_bucketed_sync(comm::Communicator& comm, milliseconds timeout) {
   std::vector<float> grads(model.parameter_count(),
                            static_cast<float>(comm.rank() + 1));
   model.load_flat_gradients(grads);
-  nn::GradientBucketer bucketer(comm, /*bucket_bytes=*/128);
+  nn::GradientBucketer bucketer(comm);
   const auto weights = model.weights();
   for (std::size_t i = weights.size(); i-- > 0;) {
     bucketer.on_layer_backward(*weights[i]);
@@ -311,8 +312,8 @@ void run_bucketed_sync(comm::Communicator& comm, milliseconds timeout) {
 
 TEST(BucketerFault, RankKilledMidBucketSurfacesAsRankFailed) {
   comm::World world(3);
-  // Op 4 lands inside the ring protocol (launching a bucket already costs
-  // ops 0-1): rank 1 dies with chunks of several buckets still in flight.
+  // Each ring step costs two ops (send, recv), so op 4 is rank 1's first
+  // all-gather send, step 2 of 4: rank 1 dies mid-ring.
   world.set_fault_schedule(FaultSchedule().kill(1, 4));
   auto errors = world.run_ranks([&](comm::Communicator& comm) {
     if (comm.rank() == 1) {
@@ -333,12 +334,13 @@ TEST(BucketerFault, RankKilledMidBucketSurfacesAsRankFailed) {
 TEST(BucketerFault, DroppedBucketChunkHitsDeadlineNotAHang) {
   comm::World world(2);
   // Bucketer sends are user-level messages, so drop schedules apply: rank
-  // 0's third message (a mid-protocol chunk) vanishes and the ring can
-  // never complete. Both ranks must exit their finish() within the
-  // deadline — with TimeoutError, or RankFailedError when the partner's
-  // own timeout already made it depart. Returning at all is the no-hang
-  // assertion.
-  world.set_fault_schedule(FaultSchedule().drop(0, 2));
+  // 0's first message (its reduce-scatter chunk) vanishes, rank 1 waits
+  // on it at once and rank 0 waits on rank 1's all-gather chunk, so the
+  // ring can never complete. Both ranks must exit their finish() within
+  // the deadline — with TimeoutError, or RankFailedError when the
+  // partner's own timeout already made it depart. Returning at all is the
+  // no-hang assertion.
+  world.set_fault_schedule(FaultSchedule().drop(0, 0));
   auto errors = world.run_ranks([&](comm::Communicator& comm) {
     try {
       run_bucketed_sync(comm, milliseconds(300));
@@ -346,6 +348,28 @@ TEST(BucketerFault, DroppedBucketChunkHitsDeadlineNotAHang) {
                     << " completed despite the dropped chunk";
     } catch (const TimeoutError&) {
     } catch (const RankFailedError&) {
+    }
+  });
+  EXPECT_EQ(errors[0], nullptr);
+  EXPECT_EQ(errors[1], nullptr);
+}
+
+TEST(BucketerFault, SpentDeadlineThrowsTimeoutError) {
+  // Rank 0 gets a 1 ms budget and a peer that enters its sync 50 ms late.
+  // Less than a whole millisecond is left by its first receive, and
+  // finish() must report the spent budget as a TimeoutError, never build
+  // an invalid zero-length wait.
+  comm::World world(2);
+  auto errors = world.run_ranks([&](comm::Communicator& comm) {
+    if (comm.rank() == 0) {
+      EXPECT_THROW(run_bucketed_sync(comm, milliseconds(1)), TimeoutError);
+    } else {
+      std::this_thread::sleep_for(milliseconds(50));
+      try {
+        run_bucketed_sync(comm, kTimeout);
+      } catch (const TimeoutError&) {
+      } catch (const RankFailedError&) {
+      }
     }
   });
   EXPECT_EQ(errors[0], nullptr);

@@ -775,7 +775,7 @@ TEST(Parallel, DataParallelMatchesSerialGradients) {
   }
 }
 
-// ---- bucketed overlapped all-reduce ------------------------------------------------
+// ---- hook-packed gradient all-reduce ----------------------------------------------
 
 namespace bucketer_tests {
 
@@ -807,11 +807,10 @@ TEST(Parallel, BucketerAveragesAcrossRanks) {
     std::vector<float> grads(model.parameter_count(),
                              static_cast<float>(comm.rank() + 1));
     model.load_flat_gradients(grads);
-    // Tiny buckets: the model's several weights tensors spread over
-    // multiple concurrent ring exchanges.
-    GradientBucketer bucketer(comm, /*bucket_bytes=*/256);
+    // The model's several weights tensors share one ring per sync.
+    GradientBucketer bucketer(comm);
     bucket_all(bucketer, model);
-    EXPECT_GT(bucketer.buckets_completed(), 1u);
+    EXPECT_EQ(bucketer.buckets_completed(), 1u);
     for (const float g : model.flatten_gradients()) {
       EXPECT_FLOAT_EQ(g, 2.5f);  // mean of 1..4
     }
@@ -821,10 +820,11 @@ TEST(Parallel, BucketerAveragesAcrossRanks) {
 TEST(Parallel, BucketerMatchesBlockingAllreduceAndSyncsReplicas) {
   // Against the blocking flatten-everything path the bucketed result agrees
   // only NUMERICALLY: an element's ring summation order depends on its
-  // chunk index, which differs between one flat buffer and per-bucket
-  // chunking, so last bits legitimately differ. What must hold exactly is
-  // cross-rank agreement — the all-gather hands every rank the same reduced
-  // bytes, so replicas stay BIT-identical to each other.
+  // chunk index, which differs between the forward-order flat buffer and
+  // the hook-order (reverse-layer) packing, so last bits legitimately
+  // differ. What must hold exactly is cross-rank agreement — the
+  // all-gather hands every rank the same reduced bytes, so replicas stay
+  // BIT-identical to each other.
   using namespace bucketer_tests;
   comm::World::run(3, [](comm::Communicator& comm) {
     Model reference = build_layered_model(100);
@@ -836,7 +836,7 @@ TEST(Parallel, BucketerMatchesBlockingAllreduceAndSyncsReplicas) {
     bucketed.load_flat_gradients(grads);
 
     allreduce_gradients(reference, comm);
-    GradientBucketer bucketer(comm, /*bucket_bytes=*/512);
+    GradientBucketer bucketer(comm);
     bucket_all(bucketer, bucketed);
 
     const auto expect = reference.flatten_gradients();
@@ -859,8 +859,9 @@ TEST(Parallel, BucketerMatchesBlockingAllreduceAndSyncsReplicas) {
 }
 
 TEST(Parallel, BucketerViaBackwardHookMatchesAllreduce) {
-  // End-to-end through the real seam: Model::backward(hook) streams
-  // gradients into the bucketer during backprop.
+  // End-to-end through the real seam: Model::backward(hook) hands each
+  // weights object to the bucketer once the pass's weight gradients are
+  // final.
   using namespace bucketer_tests;
   const Tensor x = random_batch(8, 6, 40);
   const Tensor y = random_batch(8, 4, 41);
@@ -881,14 +882,13 @@ TEST(Parallel, BucketerViaBackwardHookMatchesAllreduce) {
     run_backward(reference, Model::BackwardHook{});
     allreduce_gradients(reference, comm);
 
-    GradientBucketer bucketer(comm, /*bucket_bytes=*/256);
+    GradientBucketer bucketer(comm);
     run_backward(hooked, [&bucketer](Weights& w) {
       bucketer.on_layer_backward(w);
     });
     bucketer.finish({&hooked});
 
-    EXPECT_GE(bucketer.overlap_fraction(), 0.0);
-    EXPECT_LE(bucketer.overlap_fraction(), 1.0);
+    EXPECT_EQ(bucketer.overlap_fraction(), 0.0);
     const auto expect = reference.flatten_gradients();
     const auto got = hooked.flatten_gradients();
     ASSERT_EQ(expect.size(), got.size());
@@ -896,6 +896,54 @@ TEST(Parallel, BucketerViaBackwardHookMatchesAllreduce) {
       ASSERT_NEAR(expect[i], got[i], 1e-5f) << "element " << i;
     }
   });
+}
+
+TEST(Parallel, BucketerIsOneCommunicatorAllreduceInHookOrder) {
+  // The sync's arithmetic, pinned bit for bit: whatever the group's size
+  // (this model is over a quarter-million floats), one finish() is one
+  // ring over the floats in hook order, identical to the communicator's
+  // own ring all-reduce of that buffer scaled by 1/p.
+  using namespace bucketer_tests;
+  for (const int ranks : {2, 3, 4}) {
+    comm::World::run(ranks, [ranks](comm::Communicator& comm) {
+      Model model("big", 100);
+      const LayerId in = model.add_input(512);
+      const LayerId hidden = model.add_dense(in, 512, ActivationKind::Relu);
+      model.add_linear(hidden, 8);
+      ASSERT_GT(model.parameter_count(), 262144u);
+      const auto weights = model.weights();
+      auto hook_order_gradients = [&weights] {
+        std::vector<float> flat;
+        for (std::size_t i = weights.size(); i-- > 0;) {
+          const auto g = weights[i]->gradient().data();
+          flat.insert(flat.end(), g.begin(), g.end());
+        }
+        return flat;
+      };
+      GradientBucketer bucketer(comm);
+      util::Rng rng(700 + static_cast<std::uint64_t>(comm.rank()));
+      for (int sync = 1; sync <= 2; ++sync) {
+        std::vector<float> grads(model.parameter_count());
+        for (auto& g : grads) g = static_cast<float>(rng.uniform(-1.0, 1.0));
+        model.load_flat_gradients(grads);
+
+        std::vector<float> expect = hook_order_gradients();
+        comm.allreduce(expect, comm::ReduceOp::Sum);
+        tensor::scale(1.0f / static_cast<float>(ranks),
+                      std::span<float>(expect));
+
+        bucket_all(bucketer, model);
+        EXPECT_EQ(bucketer.buckets_completed(),
+                  static_cast<std::uint64_t>(sync));
+        const std::vector<float> got = hook_order_gradients();
+        ASSERT_EQ(got.size(), expect.size());
+        EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "p=" << ranks << " sync " << sync;
+      }
+    });
+  }
 }
 
 TEST(Parallel, BucketerCoverageMismatchThrows) {
@@ -1115,9 +1163,9 @@ TEST(Parallel, BucketerBf16WireHalvesBytesAndRanksAgree) {
     fp32_model.load_flat_gradients(grads);
     bf16_model.load_flat_gradients(grads);
 
-    GradientBucketer fp32_bucketer(comm, 512, WireDtype::Fp32);
+    GradientBucketer fp32_bucketer(comm, WireDtype::Fp32);
     bucket_all(fp32_bucketer, fp32_model);
-    GradientBucketer bf16_bucketer(comm, 512, WireDtype::Bf16);
+    GradientBucketer bf16_bucketer(comm, WireDtype::Bf16);
     EXPECT_EQ(bf16_bucketer.wire_dtype(), WireDtype::Bf16);
     bucket_all(bf16_bucketer, bf16_model);
 

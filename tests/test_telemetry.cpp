@@ -523,21 +523,33 @@ TEST(TelemetryRank, SetThreadNameAppearsInTraceMetadata) {
 // thread_name and dereference it after releasing the buffer lock, racing a
 // concurrent set_thread_name. The exporter copies the name under the lock
 // now; renaming mid-export must yield a parseable trace every round (run
-// under LTFB_SANITIZE=thread in CI to make the old race fatal).
+// under LTFB_SANITIZE=thread in CI to make the old race fatal). The
+// renamer renames without pause until the last export is done, but records
+// only a bounded number of spans, so the trace every export serializes
+// stays small.
 TEST(TelemetryRank, ThreadRenameDuringTraceExportIsSafe) {
   TelemetryGuard guard;
   auto& registry = Registry::instance();
+  constexpr int kMaxTicks = 256;
   std::atomic<bool> stop{false};
-  std::thread renamer([&stop] {
+  std::atomic<int> renames{0};
+  std::thread renamer([&stop, &renames] {
     int i = 0;
     while (!stop.load(std::memory_order_acquire)) {
       ltfb::telemetry::set_thread_name(
           i % 2 == 0 ? "stress/alpha" : "stress/beta_much_longer_name");
-      LTFB_SPAN("stress/tick");
-      ++i;
+      if (i < kMaxTicks) {
+        LTFB_SPAN("stress/tick");
+      }
+      renames.store(++i, std::memory_order_release);
     }
   });
   for (int round = 0; round < 20; ++round) {
+    // Start each export only once the renamer has renamed since the last.
+    const int seen = renames.load(std::memory_order_acquire);
+    while (renames.load(std::memory_order_acquire) == seen) {
+      std::this_thread::yield();
+    }
     const std::string json = registry.trace_json();
     EXPECT_FALSE(json.empty());
   }

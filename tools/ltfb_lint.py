@@ -176,13 +176,9 @@ ENTRY_CHECK_MANIFEST = {
     "src/nn/parallel.cpp": [
         ("GradientBucketer::GradientBucketer",
          "GradientBucketer::GradientBucketer"),
-        ("GradientBucketer::bucket_bytes_from_env",
-         "GradientBucketer::bucket_bytes_from_env"),
         ("GradientBucketer::wire_dtype_from_env",
          "GradientBucketer::wire_dtype_from_env"),
-        ("GradientBucketer::launch", "GradientBucketer::launch"),
-        ("GradientBucketer::apply_completed_step",
-         "GradientBucketer::apply_completed_step"),
+        ("GradientBucketer::receive_chunk", "GradientBucketer::receive_chunk"),
         ("GradientBucketer::finish", "GradientBucketer::finish"),
     ],
     "src/nn/optimizer.cpp": [

@@ -15,9 +15,7 @@ and reports:
     communication),
   * straggler ranking by mean step time, with the cluster max-min gap,
   * the message-wait critical path: the chain of send->recv flow edges
-    ending at the latest receive, walked backwards across ranks,
-  * measured allreduce overlap fraction (from the aggregated
-    nn/allreduce_overlap_fraction gauge when a timeseries is given).
+    ending at the latest receive, walked backwards across ranks.
 
 --validate turns the analyzer into a CI gate: it checks structural
 invariants of both artifacts (rank pids present, metadata coverage, at
@@ -215,18 +213,6 @@ def load_timeseries(path):
     return rounds
 
 
-def overlap_fractions(rounds):
-    """rank -> last reported nn/allreduce_overlap_fraction gauge."""
-    fractions = {}
-    for entry in rounds:
-        for rank, stats in entry.get("per_rank", {}).items():
-            value = stats.get("gauges", {}).get(
-                "nn/allreduce_overlap_fraction")
-            if value is not None:
-                fractions[int(rank)] = value
-    return fractions
-
-
 # ---------------------------------------------------------------------------
 # Validation (the CI gate)
 # ---------------------------------------------------------------------------
@@ -388,12 +374,6 @@ def format_report(trace, rounds, top):
                  f"{trace.unmatched_flow_count()} unmatched endpoint id(s) "
                  f"(drops / in-flight at export)")
     if rounds:
-        fractions = overlap_fractions(rounds)
-        if fractions:
-            lines.append("")
-            lines.append("allreduce overlap fraction (last reported):")
-            for rank in sorted(fractions):
-                lines.append(f"  rank {rank}: {fractions[rank]:.3f}")
         last = rounds[-1]
         lines.append("")
         lines.append(
@@ -465,7 +445,6 @@ def main(argv=None):
             "critical_path": critical_path(trace),
             "matched_flows": len(trace.matched_flows()),
             "unmatched_flow_ids": trace.unmatched_flow_count(),
-            "overlap_fractions": overlap_fractions(rounds),
             "rounds": len(rounds),
         }, indent=2))
     else:
