@@ -1,7 +1,7 @@
 // google-benchmark microbenches for the performance-critical kernels:
-// blocked GEMM (the fully-connected workhorse), ring all-reduce and
-// broadcast over the in-process comm substrate, the data-store exchange,
-// a full CycleGAN training step, and the JAG simulator itself.
+// blocked GEMM (the fully-connected workhorse), steady-state comm (a
+// ping-pong and the gradient ring over both transports), the data-store
+// exchange, a full CycleGAN training step, and the JAG simulator itself.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -9,8 +9,11 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "datastore/data_store.hpp"
 #include "gan/cyclegan.hpp"
 #include "jag/jag_model.hpp"
+#include "nn/parallel.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
@@ -139,33 +143,146 @@ void BM_GemmTransposed(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransposed)->Arg(128);
 
-void BM_Allreduce(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  const auto elements = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    comm::World::run(ranks, [&](comm::Communicator& comm) {
-      std::vector<float> data(elements,
-                              static_cast<float>(comm.rank() + 1));
-      comm.allreduce(data, comm::ReduceOp::Sum);
-      benchmark::DoNotOptimize(data.data());
-    });
-  }
-  state.counters["bytes"] =
-      static_cast<double>(elements) * sizeof(float);
-}
-BENCHMARK(BM_Allreduce)->Args({2, 1 << 14})->Args({4, 1 << 14});
+// Steady-state comm cost inside one World: the rank threads start once per
+// benchmark run, outside the timed loop, and rank 0's loop is the one that
+// is timed. Every rank runs the same number of operations (a few untimed
+// warm-up ones, then state.max_iterations), so a ring or a ping-pong stays
+// in lockstep. The compute team is sized 1, as for the bench workloads'
+// data-parallel ranks, and telemetry is off, as in ltfb_bench's
+// end-to-end runs, so the numbers are comm alone: with it on, every send
+// also takes the backend's flow-id lock and appends trace flow events.
+constexpr std::int64_t kCommWarmup = 16;
 
-void BM_Broadcast(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    comm::World::run(ranks, [&](comm::Communicator& comm) {
-      std::vector<float> data(1 << 12, 1.0f);
-      comm.broadcast(0, std::span<float>(data));
-      benchmark::DoNotOptimize(data.data());
-    });
+enum CommArg : std::int64_t { kInProc = 0, kSocket = 1, kFp32 = 0, kBf16 = 1 };
+
+comm::BackendKind backend_arg(std::int64_t arg) {
+  return arg == kSocket ? comm::BackendKind::Socket : comm::BackendKind::InProc;
+}
+
+/// Runs one operation per iteration on every rank of a `ranks`-rank World
+/// on `backend`; `setup(comm)` builds each rank's operation on that rank's
+/// thread.
+void run_steady_state(
+    benchmark::State& state, int ranks, comm::BackendKind backend,
+    const std::function<std::function<void()>(comm::Communicator&)>& setup) {
+  util::ComputePool::instance().resize(1);
+  telemetry::Registry& registry = telemetry::Registry::instance();
+  const bool traced = registry.is_enabled();
+  registry.set_enabled(false);
+  comm::World world(ranks, backend);
+  const auto iterations = static_cast<std::int64_t>(state.max_iterations);
+  const std::vector<std::exception_ptr> errors =
+      world.run_ranks([&](comm::Communicator& comm) {
+        const std::function<void()> op = setup(comm);
+        for (std::int64_t i = 0; i < kCommWarmup; ++i) op();
+        if (comm.rank() == 0) {
+          for (auto _ : state) op();
+        } else {
+          for (std::int64_t i = 0; i < iterations; ++i) op();
+        }
+      });
+  registry.set_enabled(traced);
+  util::ComputePool::instance().resize(util::ComputePool::env_threads());
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 }
-BENCHMARK(BM_Broadcast)->Arg(4);
+
+// Round trip of an 8-byte message between two ranks.
+void BM_CommPingPong(benchmark::State& state) {
+  const comm::BackendKind backend = backend_arg(state.range(0));
+  state.SetLabel(comm::backend_name(backend));
+  run_steady_state(state, 2, backend, [](comm::Communicator& comm) {
+    return [&comm] {
+      if (comm.rank() == 0) {
+        comm.send(1, 1, comm::Buffer(8));
+        benchmark::DoNotOptimize(comm.recv(1, 2).data());
+      } else {
+        benchmark::DoNotOptimize(comm.recv(0, 1).data());
+        comm.send(0, 2, comm::Buffer(8));
+      }
+    };
+  });
+}
+BENCHMARK(BM_CommPingPong)->Arg(kInProc)->Arg(kSocket)->UseRealTime();
+
+// One model per sync group, each with exactly its group's parameter count
+// (one linear layer of `floats` parameters), and a bucketer that packs and
+// syncs them the way a trainer's backward hook and gradient sync do.
+struct SyncGroups {
+  SyncGroups(comm::Communicator& comm, const std::vector<std::int64_t>& sizes,
+             nn::WireDtype dtype)
+      : bucketer(comm, dtype) {
+    util::Rng rng(static_cast<std::uint64_t>(comm.rank()) + 1);
+    for (const std::int64_t floats : sizes) {
+      auto model = std::make_unique<nn::Model>("sync", 1);
+      const nn::LayerId in =
+          model->add_input(static_cast<std::size_t>(floats - 1));
+      model->add_linear(in, 1);
+      std::vector<float> grads(model->parameter_count());
+      for (auto& g : grads) g = static_cast<float>(rng.uniform(-1.0, 1.0));
+      model->load_flat_gradients(grads);
+      models.push_back(std::move(model));
+    }
+  }
+
+  void sync() {
+    for (const auto& model : models) {
+      const auto weights = model->weights();
+      for (std::size_t i = weights.size(); i-- > 0;) {
+        bucketer.on_layer_backward(*weights[i]);
+      }
+      bucketer.finish({model.get()});
+    }
+  }
+
+  nn::GradientBucketer bucketer;
+  std::vector<std::unique_ptr<nn::Model>> models;
+};
+
+void run_sync_groups(benchmark::State& state, int ranks,
+                     const std::vector<std::int64_t>& sizes,
+                     std::int64_t backend, std::int64_t dtype) {
+  const nn::WireDtype wire =
+      dtype == kBf16 ? nn::WireDtype::Bf16 : nn::WireDtype::Fp32;
+  state.SetLabel(std::string(comm::backend_name(backend_arg(backend))) + " " +
+                 nn::to_string(wire));
+  run_steady_state(state, ranks, backend_arg(backend),
+                   [&sizes, wire](comm::Communicator& comm) {
+                     auto groups =
+                         std::make_shared<SyncGroups>(comm, sizes, wire);
+                     return [groups] { groups->sync(); };
+                   });
+  state.counters["floats"] = static_cast<double>(
+      std::accumulate(sizes.begin(), sizes.end(), std::int64_t{0}));
+}
+
+// One GradientBucketer::finish over each of the bench CycleGAN's sync
+// groups: critic (817 floats), generator (2,537), and autoencoder at 8x8
+// (32,291) and 16x16 (106,595) images.
+// Args: ranks, floats, backend (0 inproc, 1 socket), wire (0 fp32, 1 bf16).
+void BM_BucketerSync(benchmark::State& state) {
+  run_sync_groups(state, static_cast<int>(state.range(0)), {state.range(1)},
+                  state.range(2), state.range(3));
+}
+BENCHMARK(BM_BucketerSync)
+    ->ArgsProduct({{2, 4}, {817, 2537, 32291, 106595}, {kInProc, kSocket},
+                   {kFp32, kBf16}})
+    ->UseRealTime();
+
+// The three syncs of one data-parallel CycleGAN step: the shapes of
+// dp4_datastore (p=4, in-proc, fp32, 16x16 images) and of
+// ltfb_2x2_socket_bf16's trainers (p=2, socket, bf16, 8x8 images).
+void BM_BucketerStep(benchmark::State& state) {
+  const bool dp4 = state.range(0) == 4;
+  run_sync_groups(state, static_cast<int>(state.range(0)),
+                  {dp4 ? 106595 : 32291, 817, 2537}, state.range(1),
+                  state.range(2));
+}
+BENCHMARK(BM_BucketerStep)
+    ->Args({4, kInProc, kFp32})
+    ->Args({2, kSocket, kBf16})
+    ->UseRealTime();
 
 void BM_JagSimulation(benchmark::State& state) {
   jag::JagConfig config;

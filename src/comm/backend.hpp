@@ -25,6 +25,7 @@
 // connection. Callers must treat "not (yet) dead" as exactly that.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -52,17 +53,36 @@ struct Envelope {
   std::uint64_t flow_id = 0;
 };
 
-/// A rank's landing queue. Receivers block on `cv`; backends push under
-/// `mutex` and notify, and additionally notify (empty lock/unlock first)
-/// whenever peer liveness changes so failure-aware waits re-evaluate.
+/// A rank's landing queue. Backends enqueue through push(); receivers
+/// spin on `arrivals` for one window and then park on `cv`. Backends also
+/// notify (empty lock/unlock first) whenever peer liveness changes so
+/// failure-aware waits re-evaluate.
 ///
 /// Lock order: a thread holding this mutex takes no other lock except the
-/// leaf telemetry locks (receive matching records the flow endpoint). See
-/// DESIGN.md §12.
+/// leaf telemetry locks (receive matching records the flow endpoint). A
+/// spinning receiver holds no lock at all. See DESIGN.md §12.
 struct Mailbox {
   util::Mutex mutex;
   std::condition_variable cv;
   std::deque<Envelope> messages LTFB_GUARDED_BY(mutex);
+  /// Bumped under `mutex` by every push. A receiver in its spin window
+  /// polls it with the mutex released and retries its match (under the
+  /// mutex) whenever it moves.
+  std::atomic<std::uint64_t> arrivals{0};
+  /// Whether receivers spin before they park (util/spin_wait.hpp). Set once
+  /// by the backend before any rank runs: true when this process's rank
+  /// threads fit the hardware threads.
+  bool spin = false;
+
+  /// Queues `env` and wakes its receiver, parked or spinning.
+  void push(Envelope env) {
+    {
+      const util::MutexLock lock(mutex);
+      messages.push_back(std::move(env));
+      arrivals.fetch_add(1, std::memory_order_relaxed);
+    }
+    cv.notify_all();
+  }
 };
 
 }  // namespace detail

@@ -16,6 +16,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/annotations.hpp"
 #include "util/rng.hpp"
+#include "util/spin_wait.hpp"
 
 namespace ltfb::comm {
 
@@ -144,6 +145,46 @@ int hopeless_peer(const PendingRecv& pending) {
   throw RankFailedError(oss.str(), failed);
 }
 
+/// The spin half of a receive's spin-then-park wait (util/spin_wait.hpp).
+/// When the mailbox may spin, polls its arrival counter with the mutex
+/// released for one window, cut short by `expiry`, and after each arrival
+/// tries the match and then the hopeless-peer check (which throws
+/// RankFailedError) under the mutex. Returns true once the receive
+/// completed; false when the window closed first, and the caller parks on
+/// the condvar.
+///
+/// The mutex is only ever try-locked here. A sender bumps the counter
+/// while it still holds the mutex, and blocking on that short critical
+/// section would put the receiver to sleep in the kernel: the very wake the
+/// spin exists to avoid. A failed try-lock just polls again, within the
+/// same window.
+bool spin_for_match(PendingRecv& pending,
+                    std::chrono::steady_clock::time_point expiry) {
+  const Mailbox& box = *pending.mailbox;
+  if (!box.spin) return false;
+  // Relaxed loads suffice: the counter only says when to look again, and
+  // every look at the queue happens under the mutex. The first poll always
+  // looks, since no count equals the sentinel.
+  std::uint64_t seen = ~std::uint64_t{0};
+  const auto arrived = [&box, &seen] {
+    return box.arrivals.load(std::memory_order_relaxed) != seen;
+  };
+  const auto until = std::min(util::spin_window_end(), expiry);
+  // The mutex is spelled as try_complete's LTFB_REQUIRES spells it.
+  while (util::poll_until(until, arrived)) {
+    if (!pending.mailbox->mutex.try_lock()) {
+      if (std::chrono::steady_clock::now() > until) break;
+      continue;
+    }
+    const util::MutexLock lock(pending.mailbox->mutex, std::adopt_lock);
+    if (pending.done || try_complete(pending)) return true;
+    const int failed = hopeless_peer(pending);
+    if (failed >= 0) throw_rank_failed(pending, failed);
+    seen = pending.mailbox->arrivals.load(std::memory_order_relaxed);
+  }
+  return false;
+}
+
 }  // namespace
 }  // namespace detail
 
@@ -214,10 +255,11 @@ void Request::wait(const Deadline& deadline) {
   // wedged here shows up as a pending "comm/recv_wait" with tag + peer.
   const telemetry::flight::PendingOp pending_op("comm/recv_wait", state_->tag,
                                                 state_->src_world);
-  util::MutexLock lock(state_->mailbox->mutex);
   const bool bounded = deadline.bounded();
   const auto expiry = bounded ? deadline.expires_at()
-                              : std::chrono::steady_clock::time_point{};
+                              : std::chrono::steady_clock::time_point::max();
+  if (detail::spin_for_match(*state_, expiry)) return;
+  util::MutexLock lock(state_->mailbox->mutex);
   for (;;) {
     if (state_->done || detail::try_complete(*state_)) return;
     const int failed = detail::hopeless_peer(*state_);
@@ -259,7 +301,7 @@ int Communicator::world_rank_of(int rank) const {
               ? group_[static_cast<std::size_t>(peer)]                      \
               : (peer))))
 
-void Communicator::send(int dst, int tag, const Buffer& payload) {
+void Communicator::send(int dst, int tag, Buffer payload) {
   LTFB_COMM_GUARD("send");
   LTFB_FLIGHT_OP("comm/send", tag, dst);
   LTFB_FAULT_TICK("send");
@@ -310,7 +352,8 @@ void Communicator::send(int dst, int tag, const Buffer& payload) {
     }
   }
   world_->deliver(me, world_dst,
-                  detail::Envelope{me, comm_id_, tag, payload, flow_id});
+                  detail::Envelope{me, comm_id_, tag, std::move(payload),
+                                   flow_id});
 }
 
 void Communicator::send(int dst, int tag, std::span<const float> values) {
@@ -356,7 +399,7 @@ Buffer Communicator::take_payload(Request& request) {
   return std::move(request.state_->payload);
 }
 
-Buffer Communicator::sendrecv(int partner, int tag, const Buffer& payload,
+Buffer Communicator::sendrecv(int partner, int tag, Buffer payload,
                               const Deadline& deadline) {
   LTFB_COMM_GUARD("sendrecv");
   LTFB_FLIGHT_OP("comm/sendrecv", tag, partner);
@@ -364,7 +407,7 @@ Buffer Communicator::sendrecv(int partner, int tag, const Buffer& payload,
   LTFB_CHECK(tag >= 0);
   // Sends never block (mailboxes are unbounded), so send-then-recv is
   // deadlock-free even when both sides target each other.
-  send(partner, tag, payload);
+  send(partner, tag, std::move(payload));
   return recv(partner, tag, deadline);
 }
 
@@ -381,7 +424,7 @@ namespace {
 /// Internal variant of send/recv that permits the reserved tag space.
 void internal_send(Backend& world, const std::vector<int>& group, int my_rank,
                    int dst, std::uint64_t comm_id, std::int64_t tag,
-                   const Buffer& payload) {
+                   Buffer payload) {
   LTFB_COUNTER_ADD("comm/collective_messages", 1);
   LTFB_COUNTER_ADD("comm/collective_bytes", payload.size());
   const int world_src = group[static_cast<std::size_t>(my_rank)];
@@ -405,7 +448,8 @@ void internal_send(Backend& world, const std::vector<int>& group, int my_rank,
                             static_cast<std::uint64_t>(tag),
                             static_cast<std::uint64_t>(world_dst), flow_id);
   world.deliver(world_src, world_dst,
-                detail::Envelope{world_src, comm_id, tag, payload, flow_id});
+                detail::Envelope{world_src, comm_id, tag, std::move(payload),
+                                 flow_id});
 }
 
 Buffer internal_recv(Backend& world, const std::vector<int>& group,
@@ -425,6 +469,10 @@ Buffer internal_recv(Backend& world, const std::vector<int>& group,
   pending.collective = true;
   const telemetry::flight::PendingOp pending_op("comm/collective_recv", tag,
                                                 pending.src_world);
+  if (detail::spin_for_match(pending,
+                             std::chrono::steady_clock::time_point::max())) {
+    return std::move(pending.payload);
+  }
   util::MutexLock lock(mailbox.mutex);
   for (;;) {
     if (pending.done || detail::try_complete(pending)) break;

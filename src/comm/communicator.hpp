@@ -149,7 +149,10 @@ class Communicator {
 
   // -- point to point ------------------------------------------------------
 
-  void send(int dst, int tag, const Buffer& payload);
+  /// Sends never block (mailboxes are unbounded). The payload is moved
+  /// into the message, so an in-process receiver gets the sender's buffer:
+  /// pass an rvalue to hand a buffer over without a copy.
+  void send(int dst, int tag, Buffer payload);
   void send(int dst, int tag, std::span<const float> values);
 
   /// Blocking receive; fills `source_out` when non-null. Throws
@@ -173,7 +176,7 @@ class Communicator {
   /// Simultaneous exchange with a partner (deadlock-free). The send always
   /// completes (mailboxes are unbounded); the receive half obeys the
   /// deadline like recv.
-  Buffer sendrecv(int partner, int tag, const Buffer& payload,
+  Buffer sendrecv(int partner, int tag, Buffer payload,
                   const Deadline& deadline = Deadline::never());
 
   // -- collectives (must be called by every rank, in the same order) -------

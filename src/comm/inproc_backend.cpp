@@ -10,6 +10,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/annotations.hpp"
 #include "util/rng.hpp"
+#include "util/spin_wait.hpp"
 
 namespace ltfb::comm {
 
@@ -41,8 +42,11 @@ class InProcBackend final : public Backend {
   explicit InProcBackend(int size) {
     mailboxes_.reserve(static_cast<std::size_t>(size));
     status_.reserve(static_cast<std::size_t>(size));
+    // Every rank is a thread of this process.
+    const bool spin = util::spin_fits(static_cast<std::size_t>(size));
     for (int i = 0; i < size; ++i) {
       mailboxes_.push_back(std::make_unique<detail::Mailbox>());
+      mailboxes_.back()->spin = spin;
       status_.push_back(std::make_unique<RankStatus>());
     }
   }
@@ -59,12 +63,7 @@ class InProcBackend final : public Backend {
 
   void deliver(int src_world, int dst_world, detail::Envelope env) override {
     (void)src_world;
-    detail::Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst_world)];
-    {
-      const util::MutexLock lock(box.mutex);
-      box.messages.push_back(std::move(env));
-    }
-    box.cv.notify_all();
+    mailboxes_[static_cast<std::size_t>(dst_world)]->push(std::move(env));
   }
 
   bool dead(int observer, int peer) const override {

@@ -22,6 +22,7 @@
 #include "util/annotations.hpp"
 #include "util/compute_pool.hpp"
 #include "util/rng.hpp"
+#include "util/spin_wait.hpp"
 
 namespace ltfb::comm {
 
@@ -129,7 +130,7 @@ class SocketBackend final : public Backend {
   explicit SocketBackend(int size) : size_(size) {
     endpoints_.resize(static_cast<std::size_t>(size));
     for (int r = 0; r < size; ++r) {
-      endpoints_[static_cast<std::size_t>(r)] = make_endpoint(r);
+      endpoints_[static_cast<std::size_t>(r)] = make_endpoint(r, size);
     }
     for (int i = 0; i < size; ++i) {
       for (int j = i + 1; j < size; ++j) {
@@ -154,7 +155,7 @@ class SocketBackend final : public Backend {
                    "peer fd table has " << peer_fds.size() << " entries for a "
                                         << size << "-rank world");
     endpoints_.resize(static_cast<std::size_t>(size));
-    endpoints_[static_cast<std::size_t>(self)] = make_endpoint(self);
+    endpoints_[static_cast<std::size_t>(self)] = make_endpoint(self, 1);
     for (int p = 0; p < size; ++p) {
       if (p == self) continue;
       link(self, p).fd = peer_fds[static_cast<std::size_t>(p)];
@@ -201,11 +202,7 @@ class SocketBackend final : public Backend {
   void deliver(int src_world, int dst_world, detail::Envelope env) override {
     SocketEndpoint& ep = endpoint(src_world);
     if (src_world == dst_world) {
-      {
-        const util::MutexLock lock(ep.mailbox.mutex);
-        ep.mailbox.messages.push_back(std::move(env));
-      }
-      ep.mailbox.cv.notify_all();
+      ep.mailbox.push(std::move(env));
       return;
     }
     wire::Frame frame;
@@ -409,9 +406,12 @@ class SocketBackend final : public Backend {
   }
 
  private:
-  std::unique_ptr<SocketEndpoint> make_endpoint(int self) {
+  /// `local_ranks` is how many rank threads this process runs: all of
+  /// them in loopback mode, one in process mode.
+  std::unique_ptr<SocketEndpoint> make_endpoint(int self, int local_ranks) {
     auto ep = std::make_unique<SocketEndpoint>();
     ep->self = self;
+    ep->mailbox.spin = util::spin_fits(static_cast<std::size_t>(local_ranks));
     ep->views = std::vector<PeerView>(static_cast<std::size_t>(size_));
     ep->links.resize(static_cast<std::size_t>(size_));
     for (int p = 0; p < size_; ++p) {
@@ -490,11 +490,7 @@ class SocketBackend final : public Backend {
         env.tag = frame.tag;
         env.payload = std::move(frame.payload);
         env.flow_id = frame.flow_id;
-        {
-          const util::MutexLock lock(ep.mailbox.mutex);
-          ep.mailbox.messages.push_back(std::move(env));
-        }
-        ep.mailbox.cv.notify_all();
+        ep.mailbox.push(std::move(env));
         break;
       }
       case wire::FrameKind::Goodbye:

@@ -5,8 +5,16 @@
 namespace ltfb::comm::wire {
 
 Buffer encode_frame(const Frame& frame) {
-  Serializer body;
-  body.u8(static_cast<std::uint8_t>(frame.kind))
+  // kind, comm_id, tag, src, dst, seq, flow_id, payload count.
+  constexpr std::size_t kHeaderBytes = 1 + 8 + 8 + 4 + 4 + 8 + 8 + 4;
+  const std::size_t body_bytes = kHeaderBytes + frame.payload.size();
+  LTFB_CHECK_MSG(body_bytes <= kMaxFrameBytes,
+                 "frame of " << body_bytes << " bytes exceeds the wire limit");
+  // Length prefix first, so the payload is copied once, straight into the
+  // frame.
+  Serializer out;
+  out.u32(static_cast<std::uint32_t>(body_bytes))
+      .u8(static_cast<std::uint8_t>(frame.kind))
       .u64(frame.comm_id)
       .i64(frame.tag)
       .u32(static_cast<std::uint32_t>(frame.src))
@@ -15,10 +23,7 @@ Buffer encode_frame(const Frame& frame) {
       .u64(frame.flow_id)
       .u32(static_cast<std::uint32_t>(frame.payload.size()))
       .bytes(frame.payload);
-  LTFB_CHECK_MSG(body.size() <= kMaxFrameBytes,
-                 "frame of " << body.size() << " bytes exceeds the wire limit");
-  Serializer out;
-  out.u32(static_cast<std::uint32_t>(body.size())).bytes(body.buffer());
+  LTFB_ASSERT(out.size() == sizeof(std::uint32_t) + body_bytes);
   return out.take();
 }
 

@@ -50,11 +50,19 @@ struct Sample {
   }
 };
 
-/// Packs a sample into a flat float vector: [id_lo, id_hi, input, scalars,
-/// images]. Used for comm transfers in the data store shuffle.
-std::vector<float> pack_sample(const Sample& sample);
+/// Bytes one sample of `schema` occupies in packed form.
+std::size_t packed_sample_bytes(const SampleSchema& schema) noexcept;
+
+/// Writes `sample` into `out` in the data store shuffle's wire form:
+/// [id_lo, id_hi, input, scalars, images] as 32-bit words in host order,
+/// copied straight from the sample's fields into the caller's buffer (a
+/// comm payload). Throws unless the sample conforms to `schema` and `out`
+/// is exactly packed_sample_bytes(schema) long.
+void pack_sample(const Sample& sample, const SampleSchema& schema,
+                 std::span<std::uint8_t> out);
 
 /// Inverse of pack_sample; `schema` determines the field split.
-Sample unpack_sample(std::span<const float> flat, const SampleSchema& schema);
+Sample unpack_sample(std::span<const std::uint8_t> in,
+                     const SampleSchema& schema);
 
 }  // namespace ltfb::data

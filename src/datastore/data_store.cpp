@@ -257,7 +257,8 @@ std::vector<data::Sample> DataStore::collect_fetch() {
   return std::move(prefetch_result_);
 }
 
-data::Sample DataStore::owned_sample(data::SampleId id) {
+const data::Sample& DataStore::owned_sample(data::SampleId id,
+                                            data::Sample& disk_copy) {
   const auto it = cache_.find(id);
   if (it != cache_.end()) {
     ++stats_.local_hits;
@@ -271,7 +272,8 @@ data::Sample DataStore::owned_sample(data::SampleId id) {
                                                       << " but cache misses");
   ++stats_.file_reads;
   LTFB_COUNTER_ADD("datastore/file_reads", 1);
-  return catalog_->read(id);
+  disk_copy = catalog_->read(id);
+  return disk_copy;
 }
 
 void DataStore::repair_directory() {
@@ -406,78 +408,82 @@ std::vector<data::Sample> DataStore::fetch_via_exchange(
   const int rep_tag = step_seq_ * 2 + 1;
   ++step_seq_;
 
-  // Partition the wanted ids by owner.
-  std::unordered_map<data::SampleId, data::Sample> gathered;
+  // Partition the wanted ids by owner. Each distinct id lands in the result
+  // slot of its first occurrence; repeated ids are copied from that slot
+  // at the end, so no sample is copied more than once on the way in.
+  std::vector<data::Sample> result(ids.size());
+  std::unordered_map<data::SampleId, std::size_t> first_slot;
+  first_slot.reserve(ids.size());
+  std::vector<std::size_t> repeats;
   std::vector<std::vector<data::SampleId>> needs(
       static_cast<std::size_t>(ranks));
-  for (const data::SampleId id : ids) {
-    if (gathered.count(id) != 0) continue;
+  for (std::size_t slot = 0; slot < ids.size(); ++slot) {
+    const data::SampleId id = ids[slot];
+    if (!first_slot.emplace(id, slot).second) {
+      repeats.push_back(slot);
+      continue;
+    }
     const auto dir_it = directory_.find(id);
     LTFB_CHECK_MSG(dir_it != directory_.end(),
                    "sample " << id << " missing from data store directory");
     const int owner = dir_it->second;
     if (owner == comm_.rank()) {
-      gathered.emplace(id, owned_sample(id));
+      data::Sample disk_copy;
+      result[slot] = owned_sample(id, disk_copy);
     } else {
-      if (needs[static_cast<std::size_t>(owner)].empty()) {
-        needs[static_cast<std::size_t>(owner)].reserve(8);
-      }
-      if (std::find(needs[static_cast<std::size_t>(owner)].begin(),
-                    needs[static_cast<std::size_t>(owner)].end(),
-                    id) == needs[static_cast<std::size_t>(owner)].end()) {
-        needs[static_cast<std::size_t>(owner)].push_back(id);
-      }
-      gathered.emplace(id, data::Sample{});  // placeholder, filled below
+      needs[static_cast<std::size_t>(owner)].push_back(id);
     }
   }
 
   if (ranks > 1) {
+    const data::SampleSchema& schema = catalog_->schema();
+    const std::size_t record = data::packed_sample_bytes(schema);
     // 1. Send a request list (possibly empty) to every peer.
     for (int peer = 0; peer < ranks; ++peer) {
       if (peer == comm_.rank()) continue;
       comm_.send(peer, req_tag,
                  encode_ids(needs[static_cast<std::size_t>(peer)]));
     }
-    // 2. Serve every peer's request from the local cache (or, for disk-
-    // resident samples, from a fresh bundle-file read).
+    // 2. Serve every peer's request: each sample is packed straight from
+    // the cache (or, when disk-resident, from a fresh bundle-file read)
+    // into one reply buffer, which the send then moves.
     for (int i = 0; i < ranks - 1; ++i) {
       int requester = -1;
-      const comm::Buffer request =
-          comm_.recv(comm::kAnySource, req_tag, timeout_, &requester);
-      std::vector<float> reply;
-      for (const data::SampleId id : decode_ids(request)) {
-        const data::Sample sample = owned_sample(id);
-        const auto packed = data::pack_sample(sample);
-        reply.insert(reply.end(), packed.begin(), packed.end());
+      const std::vector<data::SampleId> wanted = decode_ids(
+          comm_.recv(comm::kAnySource, req_tag, timeout_, &requester));
+      comm::Buffer reply(wanted.size() * record);
+      data::Sample disk_copy;
+      for (std::size_t k = 0; k < wanted.size(); ++k) {
+        data::pack_sample(owned_sample(wanted[k], disk_copy), schema,
+                          std::span<std::uint8_t>(reply).subspan(k * record,
+                                                                 record));
       }
-      comm_.send(requester, rep_tag, std::span<const float>(reply));
+      comm_.send(requester, rep_tag, std::move(reply));
     }
-    // 3. Collect replies (every peer answers, possibly with nothing).
-    const std::size_t packed_width = 2 + catalog_->schema().total_width();
+    // 3. Collect replies (every peer answers, possibly with nothing) and
+    // unpack each sample straight from the payload into its result slot.
     for (int i = 0; i < ranks - 1; ++i) {
       const comm::Buffer raw = comm_.recv(comm::kAnySource, rep_tag, timeout_);
-      const std::vector<float> flat = comm::Deserializer::unpack_floats(raw);
-      LTFB_CHECK(flat.size() % packed_width == 0);
+      LTFB_CHECK(raw.size() % record == 0);
       stats_.bytes_exchanged += raw.size();
       LTFB_COUNTER_ADD("datastore/bytes_exchanged", raw.size());
-      for (std::size_t offset = 0; offset < flat.size();
-           offset += packed_width) {
+      for (std::size_t offset = 0; offset < raw.size(); offset += record) {
         data::Sample sample = data::unpack_sample(
-            std::span<const float>(flat).subspan(offset, packed_width),
-            catalog_->schema());
+            std::span<const std::uint8_t>(raw).subspan(offset, record),
+            schema);
         ++stats_.remote_fetches;
         LTFB_COUNTER_ADD("datastore/remote_fetches", 1);
-        gathered[sample.id] = std::move(sample);
+        const auto slot = first_slot.find(sample.id);
+        LTFB_CHECK_MSG(slot != first_slot.end(),
+                       "peer sent sample " << sample.id
+                                           << " that was never requested");
+        result[slot->second] = std::move(sample);
       }
     }
   }
 
-  std::vector<data::Sample> result;
-  result.reserve(ids.size());
-  for (const data::SampleId id : ids) {
-    const auto it = gathered.find(id);
-    LTFB_ASSERT(it != gathered.end());
-    result.push_back(it->second);
+  for (const std::size_t slot : repeats) {
+    result[slot] = result[first_slot.at(ids[slot])];
   }
   return result;
 }

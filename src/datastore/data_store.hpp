@@ -160,9 +160,9 @@ class DataStore {
   /// remaps surviving owners, and re-adopts the dead ranks' samples from
   /// bundle files (within capacity; the rest become disk-resident).
   void repair_directory();
-  /// The local or serving copy of a sample this rank owns — from the cache,
-  /// or from a bundle-file read when the sample is disk-resident.
-  data::Sample owned_sample(data::SampleId id);
+  /// A sample this rank owns: the cached copy itself, or — when the sample
+  /// is disk-resident — a bundle-file read into `disk_copy`.
+  const data::Sample& owned_sample(data::SampleId id, data::Sample& disk_copy);
   /// Fails fast if called while a begin_fetch helper owns the communicator
   /// and the store's internal state.
   void check_no_fetch_in_flight(const char* what) const;

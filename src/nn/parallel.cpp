@@ -9,6 +9,7 @@
 #include "nn/optimizer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 #include "util/error.hpp"
 
 namespace ltfb::nn {
@@ -33,6 +34,61 @@ int ring_chunk(int index, int ranks) noexcept {
 tensor::HalfKind half_kind(WireDtype dtype) noexcept {
   return dtype == WireDtype::Fp16 ? tensor::HalfKind::Fp16
                                   : tensor::HalfKind::Bf16;
+}
+
+std::size_t wire_width(WireDtype dtype) noexcept {
+  return dtype == WireDtype::Fp32 ? sizeof(float) : sizeof(std::uint16_t);
+}
+
+// The ring's payload kernels. A payload holds one chunk in the wire dtype
+// as raw bytes; its floats and half values are read and written through
+// memcpy-based lane loads (tensor::simd), never through a cast of the byte
+// storage.
+
+/// A fresh payload holding `chunk` in the wire dtype.
+comm::Buffer encode_chunk(std::span<const float> chunk, WireDtype dtype) {
+  comm::Buffer payload(chunk.size() * wire_width(dtype));
+  if (dtype != WireDtype::Fp32) {
+    tensor::encode_half(chunk, payload, half_kind(dtype));
+  } else if (!chunk.empty()) {
+    std::memcpy(payload.data(), chunk.data(), payload.size());
+  }
+  return payload;
+}
+
+/// One reduce hop in place: payload = payload + own, elementwise, which
+/// IEEE addition makes bit for bit own + payload unless both are NaN.
+/// `sum`, when not empty, also receives the values every receiver of the
+/// payload decodes (the owner's copy; it may alias `own`).
+void add_into(comm::Buffer& payload, std::span<const float> own,
+              std::span<float> sum, WireDtype dtype) {
+  if (dtype != WireDtype::Fp32) {
+    tensor::add_into_half(payload, own, sum, half_kind(dtype));
+    return;
+  }
+  const auto hop = [&payload, own, sum](auto lanes, std::size_t i) {
+    using V = decltype(lanes);
+    std::uint8_t* at = payload.data() + i * sizeof(float);
+    const V total = V::load_bytes(at) + V::load(&own[i]);
+    total.store_bytes(at);
+    if (!sum.empty()) total.store(&sum[i]);
+  };
+  std::size_t i = 0;
+  for (; i < tensor::simd::main_loop_bound(own.size());
+       i += tensor::simd::kNativeWidth) {
+    hop(tensor::simd::vf{}, i);
+  }
+  for (; i < own.size(); ++i) hop(tensor::simd::vec<1>{}, i);
+}
+
+/// Copies a payload's chunk out as floats.
+void decode_chunk(const comm::Buffer& payload, std::span<float> out,
+                  WireDtype dtype) {
+  if (dtype != WireDtype::Fp32) {
+    tensor::decode_half(payload, out, half_kind(dtype));
+  } else if (!out.empty()) {
+    std::memcpy(out.data(), payload.data(), payload.size());
+  }
 }
 
 std::uint64_t fnv1a_append(std::uint64_t hash, float value) noexcept {
@@ -166,16 +222,21 @@ void GradientBucketer::finish(const std::vector<Model*>& models,
                             offsets[i + 1] - offsets[i]);
   };
 
-  // Reduce-scatter steps s in [0, p-1) send chunk (rank - s) and add into
-  // chunk (rank - s - 1); all-gather steps t = s - (p - 1) send chunk
-  // (rank + 1 - t) and overwrite chunk (rank - t).
+  // One payload circulates. Step s sends the payload to the right and
+  // receives the next from the left. Reduce-scatter steps s in [0, p-1)
+  // receive the partial sum of chunk (rank - s - 1) and add this rank's
+  // own part into it, in place; the last of them completes chunk
+  // (rank + 1), which this rank owns, so it also keeps the result. The
+  // all-gather steps t = s - (p - 1) receive the final chunk (rank - t),
+  // copy it out, and forward the payload unchanged. Only the copies differ
+  // from packing every step afresh: message count, sizes, tags and order
+  // are the same, re-encoding a decoded half value gives back its bits,
+  // and the owner's quantized copy is decode(encode(sum)) either way.
+  comm::Buffer payload = encode_chunk(chunk(rank), wire_dtype_);
   for (int step = 0; step < 2 * (ranks - 1); ++step) {
-    const bool reduce = step < ranks - 1;
-    const int t = step - (ranks - 1);
     const int tag = kBucketTagBase + tag_seq_;
     tag_seq_ = (tag_seq_ + 1) % kBucketTagRange;
-    send_chunk(tag, reduce ? chunk(rank - step) : chunk(rank + 1 - t),
-               step == ranks - 1);
+    send_chunk(tag, std::move(payload));
     const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - std::chrono::steady_clock::now());
     if (budget.count() <= 0) {
@@ -185,8 +246,17 @@ void GradientBucketer::finish(const std::vector<Model*>& models,
                          std::to_string(step) + " (tag " +
                          std::to_string(tag) + ")");
     }
-    receive_chunk(tag, step, budget,
-                  reduce ? chunk(rank - step - 1) : chunk(rank - t), reduce);
+    const bool reduce = step < ranks - 1;
+    const std::span<float> target =
+        reduce ? chunk(rank - step - 1) : chunk(rank - (step - (ranks - 1)));
+    payload = receive_chunk(tag, step, budget, target.size());
+    if (reduce) {
+      const bool owner = step == ranks - 2;
+      add_into(payload, target, owner ? target : std::span<float>(),
+               wire_dtype_);
+    } else {
+      decode_chunk(payload, target, wire_dtype_);
+    }
   }
 
   tensor::scale(1.0f / static_cast<float>(ranks), std::span<float>(packed_));
@@ -205,58 +275,24 @@ void GradientBucketer::finish(const std::vector<Model*>& models,
   packed_weights_.clear();
 }
 
-void GradientBucketer::send_chunk(int tag, std::span<float> chunk,
-                                  bool owner) {
-  const int right = ring_chunk(comm_.rank() + 1, comm_.size());
-  if (wire_dtype_ == WireDtype::Fp32) {
-    comm_.send(right, tag, std::span<const float>(chunk));
-    wire_bytes_ += chunk.size() * sizeof(float);
-    LTFB_COUNTER_ADD("nn/allreduce_wire_bytes", chunk.size() * sizeof(float));
-    return;
-  }
-  const tensor::HalfKind kind = half_kind(wire_dtype_);
-  if (owner) {
-    // This rank owns the fully-reduced chunk, which every peer will only
-    // ever see through the half encoding. Quantize the owner's own copy in
-    // place so all ranks converge on the identical half-representable
-    // values (later forwards then re-encode losslessly).
-    for (float& value : chunk) value = tensor::quantize(value, kind);
-  }
-  half_scratch_.resize(chunk.size());
-  tensor::encode_half(chunk, half_scratch_, kind);
-  comm::Buffer payload(chunk.size() * sizeof(std::uint16_t));
-  std::memcpy(payload.data(), half_scratch_.data(), payload.size());
-  comm_.send(right, tag, payload);
+void GradientBucketer::send_chunk(int tag, comm::Buffer payload) {
   wire_bytes_ += payload.size();
   LTFB_COUNTER_ADD("nn/allreduce_wire_bytes", payload.size());
+  comm_.send(ring_chunk(comm_.rank() + 1, comm_.size()), tag,
+             std::move(payload));
 }
 
-void GradientBucketer::receive_chunk(int tag, int step, comm::Deadline budget,
-                                     std::span<float> chunk, bool reduce) {
-  const int left = ring_chunk(comm_.rank() - 1, comm_.size());
-  const comm::Buffer payload = comm_.recv(left, tag, budget);
-  std::vector<float> incoming;
-  if (wire_dtype_ == WireDtype::Fp32) {
-    incoming = comm::Deserializer::unpack_floats(payload);
-  } else {
-    LTFB_CHECK_MSG(payload.size() % sizeof(std::uint16_t) == 0,
-                   "half-precision gradient payload of " << payload.size()
-                                                         << " bytes is odd");
-    const std::size_t count = payload.size() / sizeof(std::uint16_t);
-    half_scratch_.resize(count);
-    std::memcpy(half_scratch_.data(), payload.data(), payload.size());
-    incoming.resize(count);
-    tensor::decode_half(half_scratch_, incoming, half_kind(wire_dtype_));
-  }
-  LTFB_CHECK_MSG(incoming.size() == chunk.size(),
+comm::Buffer GradientBucketer::receive_chunk(int tag, int step,
+                                             comm::Deadline budget,
+                                             std::size_t count) {
+  comm::Buffer payload =
+      comm_.recv(ring_chunk(comm_.rank() - 1, comm_.size()), tag, budget);
+  LTFB_CHECK_MSG(payload.size() == count * wire_width(wire_dtype_),
                  "gradient ring tag " << tag << " step " << step
-                                      << " received " << incoming.size()
-                                      << " floats, expected " << chunk.size());
-  if (reduce) {
-    tensor::axpy(1.0f, incoming, chunk);
-  } else {
-    std::copy(incoming.begin(), incoming.end(), chunk.begin());
-  }
+                                      << " received " << payload.size()
+                                      << " bytes, expected " << count << " "
+                                      << to_string(wire_dtype_) << " values");
+  return payload;
 }
 
 }  // namespace ltfb::nn

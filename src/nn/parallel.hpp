@@ -73,6 +73,12 @@ bool weights_in_sync(Model& model, comm::Communicator& comm);
 /// needs what the collective lacks: a deadline, a half-precision wire, and
 /// messages that fault-injection drop schedules can address.
 ///
+/// One payload circulates (DESIGN.md §10): a reduce-scatter step adds this
+/// rank's chunk into the received partial sum in place and sends that same
+/// buffer on, and an all-gather step copies the final chunk out and
+/// forwards the buffer untouched. Sends move the buffer, so between rank
+/// threads of one process a hop costs one pass over the chunk and no copy.
+///
 /// Fault behaviour: a peer dying mid-ring surfaces as ltfb::RankFailedError
 /// from finish(); once finish()'s time budget is spent it throws
 /// ltfb::TimeoutError instead of hanging when traffic is lost. The
@@ -122,19 +128,17 @@ class GradientBucketer {
   WireDtype wire_dtype() const noexcept { return wire_dtype_; }
 
  private:
-  /// Ships `chunk` to the right neighbour in the wire dtype. `owner` marks
-  /// the first all-gather step, whose chunk this rank fully reduced.
-  void send_chunk(int tag, std::span<float> chunk, bool owner);
-  /// Receives the left neighbour's step-`step` chunk within `budget` and
-  /// adds it into (`reduce`) or copies it over `chunk`.
-  void receive_chunk(int tag, int step, comm::Deadline budget,
-                     std::span<float> chunk, bool reduce);
+  /// Moves `payload` to the right neighbour and counts its wire bytes.
+  void send_chunk(int tag, comm::Buffer payload);
+  /// Receives the left neighbour's step-`step` payload within `budget` and
+  /// checks that it holds `count` values in the wire dtype.
+  comm::Buffer receive_chunk(int tag, int step, comm::Deadline budget,
+                             std::size_t count);
 
   comm::Communicator& comm_;
   WireDtype wire_dtype_;
-  std::vector<float> packed_;               // gradients in hook order
-  std::vector<Weights*> packed_weights_;    // whose gradients, same order
-  std::vector<std::uint16_t> half_scratch_;  // encode/decode staging
+  std::vector<float> packed_;             // gradients in hook order
+  std::vector<Weights*> packed_weights_;  // whose gradients, same order
   int tag_seq_ = 0;  // one tag per ring step; same sequence on all ranks
 
   std::uint64_t buckets_done_ = 0;

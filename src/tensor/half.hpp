@@ -19,6 +19,7 @@
 #include <cstring>
 #include <span>
 
+#include "tensor/simd.hpp"
 #include "util/error.hpp"
 
 namespace ltfb::tensor {
@@ -136,21 +137,114 @@ inline float quantize(float value, HalfKind kind) {
                                 : from_float16(to_float16(value));
 }
 
-/// Span codecs (out.size() must match in.size() — checked).
+namespace detail {
+
+inline std::uint16_t load_half(const std::uint8_t* p) {
+  std::uint16_t bits = 0;
+  std::memcpy(&bits, p, sizeof(bits));
+  return bits;
+}
+
+inline void store_half(std::uint8_t* p, std::uint16_t bits) {
+  std::memcpy(p, &bits, sizeof(bits));
+}
+
+inline std::uint16_t to_half_bits(float value, HalfKind kind) {
+  return kind == HalfKind::Bf16 ? to_bfloat16(value).bits
+                                : to_float16(value).bits;
+}
+
+inline float from_half_bits(std::uint16_t bits, HalfKind kind) {
+  return kind == HalfKind::Bf16 ? from_bfloat16(bfloat16{bits})
+                                : from_float16(float16{bits});
+}
+
+}  // namespace detail
+
+/// Byte codecs, the form a comm payload carries: value i occupies
+/// wire[2i, 2i+2) in host byte order and is read and written through
+/// memcpy, so `wire` may be any byte buffer. wire.size() must be twice the
+/// float count (checked). Bf16 runs on the SIMD lanes of simd::to_bf16 /
+/// from_bf16, bit for bit the scalar codec (tests/test_tensor.cpp pins
+/// it); fp16 stays a scalar loop.
+inline void encode_half(std::span<const float> in, std::span<std::uint8_t> wire,
+                        HalfKind kind) {
+  LTFB_CHECK_MSG(wire.size() == 2 * in.size(),
+                 "half encode size mismatch: " << in.size() << " floats vs "
+                                               << wire.size() << " bytes");
+  std::size_t i = 0;
+  if (kind == HalfKind::Bf16) {
+    for (; i < simd::main_loop_bound(in.size()); i += simd::kNativeWidth) {
+      simd::to_bf16(simd::vf::load(&in[i])).store_bytes(&wire[2 * i]);
+    }
+  }
+  for (; i < in.size(); ++i) {
+    detail::store_half(&wire[2 * i], detail::to_half_bits(in[i], kind));
+  }
+}
+
+inline void decode_half(std::span<const std::uint8_t> wire,
+                        std::span<float> out, HalfKind kind) {
+  LTFB_CHECK_MSG(wire.size() == 2 * out.size(),
+                 "half decode size mismatch: " << wire.size() << " bytes vs "
+                                               << out.size() << " floats");
+  std::size_t i = 0;
+  if (kind == HalfKind::Bf16) {
+    for (; i < simd::main_loop_bound(out.size()); i += simd::kNativeWidth) {
+      simd::from_bf16(simd::vbf16::load_bytes(&wire[2 * i])).store(&out[i]);
+    }
+  }
+  for (; i < out.size(); ++i) {
+    out[i] = detail::from_half_bits(detail::load_half(&wire[2 * i]), kind);
+  }
+}
+
+/// One reduce hop of a half-precision ring, in place on the payload:
+/// wire = encode(decode(wire) + own). Each sum is incoming + own, which
+/// IEEE addition makes bit for bit own + incoming unless both are NaN (the
+/// compiler may order the operands either way, and the result then keeps
+/// one of the two payloads). `sum`, when not empty, receives
+/// decode(new wire) — the value every receiver of the payload
+/// reconstructs; it may alias `own`.
+inline void add_into_half(std::span<std::uint8_t> wire,
+                          std::span<const float> own, std::span<float> sum,
+                          HalfKind kind) {
+  LTFB_CHECK_MSG(wire.size() == 2 * own.size(),
+                 "half ring size mismatch: " << wire.size() << " bytes vs "
+                                             << own.size() << " floats");
+  const bool keep = !sum.empty();
+  LTFB_CHECK_MSG(!keep || sum.size() == own.size(),
+                 "half ring sum size " << sum.size() << " vs " << own.size());
+  std::size_t i = 0;
+  if (kind == HalfKind::Bf16) {
+    for (; i < simd::main_loop_bound(own.size()); i += simd::kNativeWidth) {
+      const simd::vbf16 bits = simd::to_bf16(
+          simd::from_bf16(simd::vbf16::load_bytes(&wire[2 * i])) +
+          simd::vf::load(&own[i]));
+      bits.store_bytes(&wire[2 * i]);
+      if (keep) simd::from_bf16(bits).store(&sum[i]);
+    }
+  }
+  for (; i < own.size(); ++i) {
+    const std::uint16_t bits = detail::to_half_bits(
+        detail::from_half_bits(detail::load_half(&wire[2 * i]), kind) + own[i],
+        kind);
+    detail::store_half(&wire[2 * i], bits);
+    if (keep) sum[i] = detail::from_half_bits(bits, kind);
+  }
+}
+
+/// Span codecs over uint16 storage (out.size() must match in.size() —
+/// checked): the byte codecs above, viewing the storage as bytes.
 inline void encode_half(std::span<const float> in,
                         std::span<std::uint16_t> out, HalfKind kind) {
   LTFB_CHECK_MSG(in.size() == out.size(),
                  "half encode size mismatch: " << in.size() << " vs "
                                                << out.size());
-  if (kind == HalfKind::Bf16) {
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = to_bfloat16(in[i]).bits;
-    }
-  } else {
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = to_float16(in[i]).bits;
-    }
-  }
+  encode_half(in,
+              std::span<std::uint8_t>(
+                  reinterpret_cast<std::uint8_t*>(out.data()), out.size_bytes()),
+              kind);
 }
 
 inline void decode_half(std::span<const std::uint16_t> in,
@@ -158,15 +252,10 @@ inline void decode_half(std::span<const std::uint16_t> in,
   LTFB_CHECK_MSG(in.size() == out.size(),
                  "half decode size mismatch: " << in.size() << " vs "
                                                << out.size());
-  if (kind == HalfKind::Bf16) {
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = from_bfloat16(bfloat16{in[i]});
-    }
-  } else {
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = from_float16(float16{in[i]});
-    }
-  }
+  decode_half(std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(in.data()),
+                  in.size_bytes()),
+              out, kind);
 }
 
 }  // namespace ltfb::tensor

@@ -92,6 +92,10 @@ class LTFB_CAPABILITY("mutex") Mutex {
 class LTFB_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) LTFB_ACQUIRE(mu) : lock_(mu.native()) {}
+  /// Takes over a mutex the caller already holds (after a successful
+  /// try_lock()), releasing it at scope exit.
+  MutexLock(Mutex& mu, std::adopt_lock_t) LTFB_REQUIRES(mu)
+      : lock_(mu.native(), std::adopt_lock) {}
   ~MutexLock() LTFB_RELEASE() = default;
 
   MutexLock(const MutexLock&) = delete;

@@ -3,7 +3,6 @@
 #include <pthread.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -11,6 +10,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/spin_wait.hpp"
 
 namespace ltfb::util {
 
@@ -29,38 +29,20 @@ constexpr std::size_t kMaxThreads = 64;
 // starving the comm rank threads sharing the machine.
 constexpr std::size_t kDefaultThreadCap = 16;
 
-// How long a waiting thread polls before it parks on std::atomic::wait:
-// about what a park costs. On the 4-vCPU VM this was tuned on, a parked
-// worker starts its first task 17-37 us (p10-p90) after the post, while
-// the gaps between the ~26 fork-joins of one CycleGAN train_step are
-// 5 us at the median and 13-14 us at p90. A 20 us window keeps workers
-// spinning across nearly every gap of a step, and a wait that outlasts it
-// would have paid the wake anyway. Spinning longer only competes with the
-// work for vCPUs, which the host steals 22-35% of whenever all four are
-// busy. A plain load loop: a PAUSE hint measured no faster here.
-constexpr auto kSpinWindow = std::chrono::microseconds(20);
-// Polls between clock reads.
-constexpr std::size_t kPollsPerCheck = 64;
-
 // Waits until `flag` no longer holds `old` and returns the new value:
-// polls it for up to kSpinWindow when `spin`, then parks.
+// polls it for one spin window when `spin` (util/spin_wait.hpp), then
+// parks on std::atomic::wait.
 template <typename T>
 T await_change(const std::atomic<T>& flag, T old, bool spin) {
-  if (spin) {
-    const auto until = std::chrono::steady_clock::now() + kSpinWindow;
-    for (std::size_t polls = 1;; ++polls) {
-      const T now = flag.load(std::memory_order_acquire);
-      if (now != old) return now;
-      if (polls % kPollsPerCheck == 0 &&
-          std::chrono::steady_clock::now() > until) {
-        break;
-      }
-    }
-  }
+  T now = old;
+  const auto changed = [&] {
+    now = flag.load(std::memory_order_acquire);
+    return now != old;
+  };
+  if (spin && poll_until(spin_window_end(), changed)) return now;
   for (;;) {
     flag.wait(old, std::memory_order_acquire);
-    const T now = flag.load(std::memory_order_acquire);
-    if (now != old) return now;
+    if (changed()) return now;
   }
 }
 
@@ -107,8 +89,7 @@ void ComputePool::resize(std::size_t threads) {
   const MutexLock lock(team_mutex_);
   if (threads == threads_.size() + 1) return;
   stop_workers();
-  spin_.store(threads <= std::thread::hardware_concurrency(),
-              std::memory_order_relaxed);
+  spin_.store(spin_fits(threads), std::memory_order_relaxed);
   start_workers(threads - 1);
   size_.store(threads, std::memory_order_relaxed);
 }

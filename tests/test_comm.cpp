@@ -495,10 +495,83 @@ TEST_P(CommBackends, ManyMixedOperations) {
   });
 }
 
+// A receive first polls its mailbox for one spin window with the mailbox
+// mutex released, then parks. The failure paths must hold in both halves:
+// a peer that dies while the receiver polls is reported as soon as the
+// receiver next looks (RankFailedError, well inside the deadline), and a
+// deadline shorter than the window still ends in TimeoutError.
+TEST_P(CommBackends, PeerDeathDuringSpinWindowFailsPromptly) {
+  for (int trial = 0; trial < 40; ++trial) {
+    World world(2, GetParam());
+    std::atomic<long long> waited_us{-1};
+    const std::vector<std::exception_ptr> errors =
+        world.run_ranks([&waited_us](Communicator& comm) {
+          if (comm.rank() == 0) {
+            // The peer is about to wait on tag 2: die a few microseconds
+            // into its spin window, without ever sending it.
+            (void)comm.recv(1, 1, std::chrono::milliseconds(30'000));
+            throw std::runtime_error("rank 0 dies");
+          }
+          comm.send(0, 1, Buffer{});
+          const auto start = std::chrono::steady_clock::now();
+          EXPECT_THROW((void)comm.recv(0, 2, std::chrono::milliseconds(30'000)),
+                       RankFailedError);
+          waited_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+        });
+    ASSERT_TRUE(errors[0] != nullptr);
+    ASSERT_TRUE(errors[1] == nullptr) << "trial " << trial;
+    // Prompt: detection never waits out the 30 s deadline.
+    EXPECT_GE(waited_us.load(), 0);
+    EXPECT_LT(waited_us.load(), 5'000'000) << "trial " << trial;
+  }
+}
+
+TEST_P(CommBackends, ShortDeadlineOnSilentPeerStillTimesOut) {
+  Run(2, [](Communicator& comm) {
+    if (comm.rank() == 0) {
+      // Alive but silent until the receiver's deadline has passed.
+      (void)comm.recv(1, 9, std::chrono::milliseconds(30'000));
+      return;
+    }
+    for (int i = 0; i < 20; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      EXPECT_THROW((void)comm.recv(0, 8, std::chrono::milliseconds(1)),
+                   TimeoutError);
+      EXPECT_GE(std::chrono::steady_clock::now() - start,
+                std::chrono::milliseconds(1));
+    }
+    comm.send(0, 9, Buffer{});
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, CommBackends,
                          ::testing::Values(BackendKind::InProc,
                                            BackendKind::Socket),
                          backend_param_name);
+
+TEST(Comm, InProcSendMovesPayload) {
+  // Send takes its payload by value: a moved buffer travels through the
+  // in-process mailbox as is, so the receiver gets the sender's storage.
+  World world(2, BackendKind::InProc);
+  std::atomic<const std::uint8_t*> sent{nullptr};
+  const std::vector<std::exception_ptr> errors =
+      world.run_ranks([&sent](Communicator& comm) {
+        if (comm.rank() == 0) {
+          Buffer payload(4096, 7);
+          sent = payload.data();
+          comm.send(1, 3, std::move(payload));
+        } else {
+          const Buffer got = comm.recv(0, 3);
+          ASSERT_EQ(got.size(), 4096u);
+          EXPECT_EQ(got.data(), sent.load());
+        }
+      });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
 
 #if LTFB_ASSERT_ENABLED
 TEST(Request, ConcurrentHandleUseFailsFast) {

@@ -55,9 +55,10 @@ TEST(Sample, PackUnpackRoundTrip) {
   const auto schema = small_schema();
   const Sample original = make_sample(0xdeadbeefcafe1234ull % (1ull << 40),
                                       schema);
-  const auto flat = pack_sample(original);
-  EXPECT_EQ(flat.size(), 2 + schema.total_width());
-  const Sample restored = unpack_sample(flat, schema);
+  std::vector<std::uint8_t> packed(packed_sample_bytes(schema));
+  EXPECT_EQ(packed.size(), 4 * (2 + schema.total_width()));
+  pack_sample(original, schema, packed);
+  const Sample restored = unpack_sample(packed, schema);
   EXPECT_EQ(restored.id, original.id);
   EXPECT_EQ(restored.input, original.input);
   EXPECT_EQ(restored.scalars, original.scalars);
@@ -68,12 +69,17 @@ TEST(Sample, PackPreservesLargeIds) {
   const auto schema = small_schema();
   Sample sample = make_sample(0, schema);
   sample.id = 0xffffffffffull;  // needs > 32 bits
-  EXPECT_EQ(unpack_sample(pack_sample(sample), schema).id, sample.id);
+  std::vector<std::uint8_t> packed(packed_sample_bytes(schema));
+  pack_sample(sample, schema, packed);
+  EXPECT_EQ(unpack_sample(packed, schema).id, sample.id);
 }
 
 TEST(Sample, UnpackWrongSizeThrows) {
-  std::vector<float> flat(3);
-  EXPECT_THROW(unpack_sample(flat, small_schema()), InvalidArgument);
+  std::vector<std::uint8_t> packed(12);
+  EXPECT_THROW(unpack_sample(packed, small_schema()), InvalidArgument);
+  // Packing checks both the sample's shape and the buffer's size.
+  const Sample sample = make_sample(1, small_schema());
+  EXPECT_THROW(pack_sample(sample, small_schema(), packed), InvalidArgument);
 }
 
 TEST(Sample, ByteSizeAccounting) {

@@ -1201,6 +1201,72 @@ TEST(Parallel, BucketerBf16WireHalvesBytesAndRanksAgree) {
   });
 }
 
+TEST(Parallel, BucketerHalfWireMatchesSerialReference) {
+  // Pins the half-precision ring bit for bit against a serial model of its
+  // association. Chunk c starts at rank c, and each later rank k on the
+  // way to the owner (rank c - 1) decodes the incoming partial sum and adds
+  // its own gradient: acc = decode(encode(acc)) + g_k. The owner keeps
+  // decode(encode(acc)), every rank receives exactly those values, and
+  // all scale by 1/p.
+  using namespace bucketer_tests;
+  const auto rank_gradients = [](int rank, std::size_t count) {
+    util::Rng rng(1300 + static_cast<std::uint64_t>(rank));
+    std::vector<float> grads(count);
+    for (auto& g : grads) g = static_cast<float>(rng.uniform(-3.0, 3.0));
+    return grads;
+  };
+  for (const WireDtype dtype : {WireDtype::Bf16, WireDtype::Fp16}) {
+    const tensor::HalfKind kind = dtype == WireDtype::Bf16
+                                      ? tensor::HalfKind::Bf16
+                                      : tensor::HalfKind::Fp16;
+    for (const int ranks : {2, 3, 4}) {
+      comm::World::run(ranks, [&](comm::Communicator& comm) {
+        Model model = build_layered_model(100);
+        const auto weights = model.weights();
+        const auto hook_order = [&weights] {
+          std::vector<float> flat;
+          for (std::size_t i = weights.size(); i-- > 0;) {
+            const auto g = weights[i]->gradient().data();
+            flat.insert(flat.end(), g.begin(), g.end());
+          }
+          return flat;
+        };
+        const std::size_t n = model.parameter_count();
+        std::vector<std::vector<float>> packed;  // every rank's, hook order
+        for (int r = 0; r < ranks; ++r) {
+          model.load_flat_gradients(rank_gradients(r, n));
+          packed.push_back(hook_order());
+        }
+        std::vector<float> expect(n);
+        const auto p = static_cast<std::size_t>(ranks);
+        std::size_t begin = 0;
+        for (std::size_t c = 0; c < p; ++c) {
+          const std::size_t end = begin + n / p + (c < n % p ? 1 : 0);
+          for (std::size_t i = begin; i < end; ++i) {
+            float acc = packed[c][i];
+            for (std::size_t k = 1; k < p; ++k) {
+              acc = tensor::quantize(acc, kind) + packed[(c + k) % p][i];
+            }
+            expect[i] =
+                tensor::quantize(acc, kind) * (1.0f / static_cast<float>(p));
+          }
+          begin = end;
+        }
+
+        model.load_flat_gradients(rank_gradients(comm.rank(), n));
+        GradientBucketer bucketer(comm, dtype);
+        bucket_all(bucketer, model);
+        const std::vector<float> got = hook_order();
+        ASSERT_EQ(got.size(), expect.size());
+        EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << to_string(dtype) << " p=" << ranks << " rank " << comm.rank();
+      });
+    }
+  }
+}
+
 TEST(Parallel, BucketerWireDtypeFromEnvDefaultsFp32) {
   comm::World::run(1, [](comm::Communicator& comm) {
     GradientBucketer bucketer(comm);

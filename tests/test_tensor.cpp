@@ -455,6 +455,107 @@ TEST(Half, QuantizeMatchesEncodeDecode) {
   }
 }
 
+std::uint32_t bits_of(float value) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(Half, Bf16LaneCodecMatchesScalarBitForBit) {
+  // The bf16 byte codecs run on SIMD integer lanes at vector widths; every
+  // lane must produce exactly what the scalar to_bfloat16/from_bfloat16
+  // does. Each special value is placed at every lane offset (and in the
+  // scalar tail), and random bit patterns cover the rest.
+  const std::vector<std::uint32_t> specials = {
+      0x00000000u, 0x80000000u,               // +-0
+      0x7f800000u, 0xff800000u,               // +-inf
+      0x7fc00000u, 0xffc00000u,               // quiet NaNs
+      0x7f800001u, 0xff800001u,               // NaN payload in low bits only
+      0x7fa5a5a5u, 0x7f80ffffu,               // NaN payloads, quiet bit off
+      0x3f808000u, 0x3f818000u, 0xbf808000u,  // RNE ties: even stays, odd up
+      0x3f808001u, 0x3f807fffu,               // just above / below a tie
+      0x7f7fffffu, 0xff7fffffu,               // rounds up into +-inf
+      0x7f7f7fffu,                            // largest that stays finite
+      0x00000001u, 0x80000001u, 0x00008000u,  // subnormals, a subnormal tie
+      0x00018000u, 0x007fffffu, 0x807fffffu,  // odd tie, largest subnormal
+  };
+  const std::size_t width = simd::kNativeWidth;
+  std::vector<float> in;
+  for (const std::uint32_t special : specials) {
+    for (std::size_t offset = 0; offset <= width; ++offset) {
+      for (std::size_t i = 0; i < offset; ++i) in.push_back(1.25f);
+      in.push_back(from_bits(special));
+    }
+  }
+  util::Rng rng(2027);
+  for (int i = 0; i < 4099; ++i) {
+    in.push_back(from_bits(static_cast<std::uint32_t>(rng.uniform_index(1ull << 32))));
+  }
+  // Finite addends: NaN + NaN keeps one of the two payloads, and which one
+  // depends on the operand order the compiler picked, in either path.
+  std::vector<float> own(in.size());
+  for (auto& v : own) {
+    do {
+      v = from_bits(static_cast<std::uint32_t>(rng.uniform_index(1ull << 32)));
+    } while (!std::isfinite(v));
+  }
+
+  // A misaligned view: byte codecs must not assume 2-byte alignment.
+  std::vector<std::uint8_t> storage(2 * in.size() + 1);
+  const std::span<std::uint8_t> wire(storage.data() + 1, 2 * in.size());
+  encode_half(in, wire, HalfKind::Bf16);
+  std::vector<std::uint16_t> expect(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    expect[i] = to_bfloat16(in[i]).bits;
+    std::uint16_t got = 0;
+    std::memcpy(&got, &wire[2 * i], sizeof(got));
+    ASSERT_EQ(got, expect[i]) << "encode element " << i << " bits 0x"
+                              << std::hex << bits_of(in[i]);
+  }
+
+  std::vector<float> decoded(in.size());
+  decode_half(wire, decoded, HalfKind::Bf16);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(bits_of(decoded[i]), bits_of(from_bfloat16(bfloat16{expect[i]})))
+        << "decode element " << i;
+  }
+
+  // The ring's fused hop: wire = encode(decode(wire) + own), with the
+  // decoded sum written back.
+  std::vector<float> sum(in.size());
+  add_into_half(wire, own, sum, HalfKind::Bf16);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint16_t want =
+        to_bfloat16(from_bfloat16(bfloat16{expect[i]}) + own[i]).bits;
+    std::uint16_t got = 0;
+    std::memcpy(&got, &wire[2 * i], sizeof(got));
+    ASSERT_EQ(got, want) << "add element " << i;
+    ASSERT_EQ(bits_of(sum[i]), bits_of(from_bfloat16(bfloat16{want})))
+        << "sum element " << i;
+  }
+}
+
+TEST(Half, Fp16ByteCodecMatchesScalar) {
+  util::Rng rng(2028);
+  std::vector<float> in(37), own(37);
+  for (auto& v : in) v = static_cast<float>(rng.uniform(-70000.0, 70000.0));
+  for (auto& v : own) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+  std::vector<std::uint8_t> wire(2 * in.size());
+  encode_half(in, wire, HalfKind::Fp16);
+  std::vector<float> sum(in.size());
+  add_into_half(wire, own, sum, HalfKind::Fp16);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const float partial = from_float16(to_float16(in[i])) + own[i];
+    std::uint16_t got = 0;
+    std::memcpy(&got, &wire[2 * i], sizeof(got));
+    EXPECT_EQ(got, to_float16(partial).bits) << "element " << i;
+    EXPECT_EQ(bits_of(sum[i]), bits_of(quantize(partial, HalfKind::Fp16)));
+  }
+  EXPECT_THROW(add_into_half(std::span<std::uint8_t>(wire).first(10), own,
+                             sum, HalfKind::Fp16),
+               InvalidArgument);
+}
+
 TEST(Half, SpanCodecsRoundTripAndValidate) {
   std::vector<float> in{0.0f, -1.5f, 3.1415926f, 65504.0f,
                         std::ldexp(1.0f, -24),
