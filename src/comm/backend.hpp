@@ -70,8 +70,8 @@ struct Mailbox {
   /// mutex) whenever it moves.
   std::atomic<std::uint64_t> arrivals{0};
   /// Whether receivers spin before they park (util/spin_wait.hpp). Set once
-  /// by the backend before any rank runs: true when this process's rank
-  /// threads fit the hardware threads.
+  /// by the backend before any rank runs: true when the world's ranks fit
+  /// the hardware threads.
   bool spin = false;
 
   /// Queues `env` and wakes its receiver, parked or spinning.

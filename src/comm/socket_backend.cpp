@@ -130,7 +130,7 @@ class SocketBackend final : public Backend {
   explicit SocketBackend(int size) : size_(size) {
     endpoints_.resize(static_cast<std::size_t>(size));
     for (int r = 0; r < size; ++r) {
-      endpoints_[static_cast<std::size_t>(r)] = make_endpoint(r, size);
+      endpoints_[static_cast<std::size_t>(r)] = make_endpoint(r);
     }
     for (int i = 0; i < size; ++i) {
       for (int j = i + 1; j < size; ++j) {
@@ -155,7 +155,7 @@ class SocketBackend final : public Backend {
                    "peer fd table has " << peer_fds.size() << " entries for a "
                                         << size << "-rank world");
     endpoints_.resize(static_cast<std::size_t>(size));
-    endpoints_[static_cast<std::size_t>(self)] = make_endpoint(self, 1);
+    endpoints_[static_cast<std::size_t>(self)] = make_endpoint(self);
     for (int p = 0; p < size; ++p) {
       if (p == self) continue;
       link(self, p).fd = peer_fds[static_cast<std::size_t>(p)];
@@ -406,12 +406,12 @@ class SocketBackend final : public Backend {
   }
 
  private:
-  /// `local_ranks` is how many rank threads this process runs: all of
-  /// them in loopback mode, one in process mode.
-  std::unique_ptr<SocketEndpoint> make_endpoint(int self, int local_ranks) {
+  std::unique_ptr<SocketEndpoint> make_endpoint(int self) {
     auto ep = std::make_unique<SocketEndpoint>();
     ep->self = self;
-    ep->mailbox.spin = util::spin_fits(static_cast<std::size_t>(local_ranks));
+    // Every rank of the world runs on this host, in this process
+    // (loopback) or in forked siblings (process mode).
+    ep->mailbox.spin = util::spin_fits(static_cast<std::size_t>(size_));
     ep->views = std::vector<PeerView>(static_cast<std::size_t>(size_));
     ep->links.resize(static_cast<std::size_t>(size_));
     for (int p = 0; p < size_; ++p) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "comm/serializer.hpp"
 #include "nn/optimizer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/ops.hpp"
@@ -47,12 +48,9 @@ std::size_t wire_width(WireDtype dtype) noexcept {
 
 /// A fresh payload holding `chunk` in the wire dtype.
 comm::Buffer encode_chunk(std::span<const float> chunk, WireDtype dtype) {
+  if (dtype == WireDtype::Fp32) return comm::Serializer::pack_floats(chunk);
   comm::Buffer payload(chunk.size() * wire_width(dtype));
-  if (dtype != WireDtype::Fp32) {
-    tensor::encode_half(chunk, payload, half_kind(dtype));
-  } else if (!chunk.empty()) {
-    std::memcpy(payload.data(), chunk.data(), payload.size());
-  }
+  tensor::encode_half(chunk, payload, half_kind(dtype));
   return payload;
 }
 

@@ -19,7 +19,6 @@
 #include <cstring>
 #include <span>
 
-#include "tensor/simd.hpp"
 #include "util/error.hpp"
 
 namespace ltfb::tensor {
@@ -149,14 +148,20 @@ inline void store_half(std::uint8_t* p, std::uint16_t bits) {
   std::memcpy(p, &bits, sizeof(bits));
 }
 
-inline std::uint16_t to_half_bits(float value, HalfKind kind) {
-  return kind == HalfKind::Bf16 ? to_bfloat16(value).bits
-                                : to_float16(value).bits;
-}
-
-inline float from_half_bits(std::uint16_t bits, HalfKind kind) {
-  return kind == HalfKind::Bf16 ? from_bfloat16(bfloat16{bits})
-                                : from_float16(float16{bits});
+/// Calls `fn(encode, decode)` with the converters of `kind`, so each loop
+/// inside `fn` is compiled once per format and tests the kind once, not
+/// per element. The loops index local pointers, not the captured spans: a
+/// byte store may alias anything, so a loop over a captured span reloads
+/// its data and size on every element (2x slower encodes).
+template <typename Fn>
+void with_converters(HalfKind kind, Fn&& fn) {
+  if (kind == HalfKind::Bf16) {
+    fn([](float v) { return to_bfloat16(v).bits; },
+       [](std::uint16_t h) { return from_bfloat16(bfloat16{h}); });
+  } else {
+    fn([](float v) { return to_float16(v).bits; },
+       [](std::uint16_t h) { return from_float16(float16{h}); });
+  }
 }
 
 }  // namespace detail
@@ -164,23 +169,19 @@ inline float from_half_bits(std::uint16_t bits, HalfKind kind) {
 /// Byte codecs, the form a comm payload carries: value i occupies
 /// wire[2i, 2i+2) in host byte order and is read and written through
 /// memcpy, so `wire` may be any byte buffer. wire.size() must be twice the
-/// float count (checked). Bf16 runs on the SIMD lanes of simd::to_bf16 /
-/// from_bf16, bit for bit the scalar codec (tests/test_tensor.cpp pins
-/// it); fp16 stays a scalar loop.
+/// float count (checked).
 inline void encode_half(std::span<const float> in, std::span<std::uint8_t> wire,
                         HalfKind kind) {
   LTFB_CHECK_MSG(wire.size() == 2 * in.size(),
                  "half encode size mismatch: " << in.size() << " floats vs "
                                                << wire.size() << " bytes");
-  std::size_t i = 0;
-  if (kind == HalfKind::Bf16) {
-    for (; i < simd::main_loop_bound(in.size()); i += simd::kNativeWidth) {
-      simd::to_bf16(simd::vf::load(&in[i])).store_bytes(&wire[2 * i]);
+  detail::with_converters(kind, [&](auto encode, auto /*decode*/) {
+    const float* src = in.data();
+    std::uint8_t* dst = wire.data();
+    for (std::size_t i = 0, n = in.size(); i < n; ++i) {
+      detail::store_half(dst + 2 * i, encode(src[i]));
     }
-  }
-  for (; i < in.size(); ++i) {
-    detail::store_half(&wire[2 * i], detail::to_half_bits(in[i], kind));
-  }
+  });
 }
 
 inline void decode_half(std::span<const std::uint8_t> wire,
@@ -188,15 +189,13 @@ inline void decode_half(std::span<const std::uint8_t> wire,
   LTFB_CHECK_MSG(wire.size() == 2 * out.size(),
                  "half decode size mismatch: " << wire.size() << " bytes vs "
                                                << out.size() << " floats");
-  std::size_t i = 0;
-  if (kind == HalfKind::Bf16) {
-    for (; i < simd::main_loop_bound(out.size()); i += simd::kNativeWidth) {
-      simd::from_bf16(simd::vbf16::load_bytes(&wire[2 * i])).store(&out[i]);
+  detail::with_converters(kind, [&](auto /*encode*/, auto decode) {
+    const std::uint8_t* src = wire.data();
+    float* dst = out.data();
+    for (std::size_t i = 0, n = out.size(); i < n; ++i) {
+      dst[i] = decode(detail::load_half(src + 2 * i));
     }
-  }
-  for (; i < out.size(); ++i) {
-    out[i] = detail::from_half_bits(detail::load_half(&wire[2 * i]), kind);
-  }
+  });
 }
 
 /// One reduce hop of a half-precision ring, in place on the payload:
@@ -212,26 +211,19 @@ inline void add_into_half(std::span<std::uint8_t> wire,
   LTFB_CHECK_MSG(wire.size() == 2 * own.size(),
                  "half ring size mismatch: " << wire.size() << " bytes vs "
                                              << own.size() << " floats");
-  const bool keep = !sum.empty();
-  LTFB_CHECK_MSG(!keep || sum.size() == own.size(),
+  LTFB_CHECK_MSG(sum.empty() || sum.size() == own.size(),
                  "half ring sum size " << sum.size() << " vs " << own.size());
-  std::size_t i = 0;
-  if (kind == HalfKind::Bf16) {
-    for (; i < simd::main_loop_bound(own.size()); i += simd::kNativeWidth) {
-      const simd::vbf16 bits = simd::to_bf16(
-          simd::from_bf16(simd::vbf16::load_bytes(&wire[2 * i])) +
-          simd::vf::load(&own[i]));
-      bits.store_bytes(&wire[2 * i]);
-      if (keep) simd::from_bf16(bits).store(&sum[i]);
+  detail::with_converters(kind, [&](auto encode, auto decode) {
+    std::uint8_t* io = wire.data();
+    const float* add = own.data();
+    float* keep = sum.empty() ? nullptr : sum.data();
+    for (std::size_t i = 0, n = own.size(); i < n; ++i) {
+      const std::uint16_t bits =
+          encode(decode(detail::load_half(io + 2 * i)) + add[i]);
+      detail::store_half(io + 2 * i, bits);
+      if (keep != nullptr) keep[i] = decode(bits);
     }
-  }
-  for (; i < own.size(); ++i) {
-    const std::uint16_t bits = detail::to_half_bits(
-        detail::from_half_bits(detail::load_half(&wire[2 * i]), kind) + own[i],
-        kind);
-    detail::store_half(&wire[2 * i], bits);
-    if (keep) sum[i] = detail::from_half_bits(bits, kind);
-  }
+  });
 }
 
 /// Span codecs over uint16 storage (out.size() must match in.size() —

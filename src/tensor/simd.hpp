@@ -60,23 +60,6 @@ struct native_vector<8> {
   using type = float __attribute__((vector_size(32)));
 };
 
-/// The integer lanes of the bf16 codec: W lanes of int32, uint32 and
-/// uint16, spelled out per width for the same reason.
-template <std::size_t W>
-struct native_lanes;
-template <>
-struct native_lanes<4> {
-  using i32 = std::int32_t __attribute__((vector_size(16)));
-  using u32 = std::uint32_t __attribute__((vector_size(16)));
-  using u16 = std::uint16_t __attribute__((vector_size(8)));
-};
-template <>
-struct native_lanes<8> {
-  using i32 = std::int32_t __attribute__((vector_size(32)));
-  using u32 = std::uint32_t __attribute__((vector_size(32)));
-  using u16 = std::uint16_t __attribute__((vector_size(16)));
-};
-
 /// Fixed-width vector of W floats. Loads/stores are unaligned (memcpy
 /// compiles to the unaligned vector move); arithmetic maps to the native
 /// vector instructions of the target ISA.
@@ -239,81 +222,8 @@ struct vec<1> {
   float hsum() const { return v; }
 };
 
-/// W bfloat16 bit patterns, loaded from and stored to raw bytes (two per
-/// lane, host order, any alignment).
-template <std::size_t W>
-struct bf16_lanes {
-  typename native_lanes<W>::u16 v;
-
-  static bf16_lanes load_bytes(const std::uint8_t* p) {
-    bf16_lanes r;
-    std::memcpy(&r.v, p, sizeof(r.v));
-    return r;
-  }
-  void store_bytes(std::uint8_t* p) const { std::memcpy(p, &v, sizeof(v)); }
-};
-
-template <>
-struct bf16_lanes<1> {
-  std::uint16_t v;
-
-  static bf16_lanes load_bytes(const std::uint8_t* p) {
-    bf16_lanes r;
-    std::memcpy(&r.v, p, sizeof(r.v));
-    return r;
-  }
-  void store_bytes(std::uint8_t* p) const { std::memcpy(p, &v, sizeof(v)); }
-};
-
-/// Lanewise float -> bf16, bit for bit tensor::to_bfloat16: round to
-/// nearest even on the discarded low half, and a NaN keeps its top payload
-/// bits and gets the quiet bit, so truncation never turns it into an
-/// infinity. The vector form computes both candidates in integer lanes and
-/// selects per lane, with no branch left to block vectorization.
-template <std::size_t W>
-bf16_lanes<W> to_bf16(vec<W> x) {
-  if constexpr (W == 1) {
-    std::uint32_t f = 0;
-    std::memcpy(&f, &x.v, sizeof(f));
-    if ((f & 0x7fffffffu) > 0x7f800000u) {
-      return {static_cast<std::uint16_t>((f >> 16) | 0x0040u)};
-    }
-    f += 0x7fffu + ((f >> 16) & 1u);
-    return {static_cast<std::uint16_t>(f >> 16)};
-  } else {
-    using lanes = native_lanes<W>;
-    typename lanes::u32 f;
-    std::memcpy(&f, &x.v, sizeof(f));
-    const typename lanes::u32 rounded = (f + 0x7fffu + ((f >> 16) & 1u)) >> 16;
-    const typename lanes::u32 quiet = (f >> 16) | 0x0040u;
-    // |x| fits a non-negative int32, so a signed compare is exact.
-    const auto magnitude =
-        __builtin_convertvector(f & 0x7fffffffu, typename lanes::i32);
-    const typename lanes::u32 bits =
-        magnitude > 0x7f800000 ? quiet : rounded;
-    return {__builtin_convertvector(bits, typename lanes::u16)};
-  }
-}
-
-/// Lanewise bf16 -> float: exact, the bits move to the high half.
-template <std::size_t W>
-vec<W> from_bf16(bf16_lanes<W> h) {
-  vec<W> r;
-  if constexpr (W == 1) {
-    const std::uint32_t f = static_cast<std::uint32_t>(h.v) << 16;
-    std::memcpy(&r.v, &f, sizeof(f));
-  } else {
-    const auto f =
-        __builtin_convertvector(h.v, typename native_lanes<W>::u32) << 16;
-    std::memcpy(&r.v, &f, sizeof(f));
-  }
-  return r;
-}
-
 /// The build's native vector type — what the kernels actually use.
 using vf = vec<kNativeWidth>;
-/// The build's native bf16 lanes.
-using vbf16 = bf16_lanes<kNativeWidth>;
 
 /// Largest multiple of the native width <= n: the bound of a kernel's
 /// vector main loop (the remainder runs the scalar tail). Depends only on
