@@ -150,7 +150,7 @@ BENCHMARK(BM_GemmTransposed)->Arg(128);
 // in lockstep. The compute team is sized 1, as for the bench workloads'
 // data-parallel ranks, and telemetry is off, as in ltfb_bench's
 // end-to-end runs, so the numbers are comm alone: with it on, every send
-// also takes the backend's flow-id lock and appends trace flow events.
+// also mints a flow id under its rank's lock and appends trace flow events.
 constexpr std::int64_t kCommWarmup = 16;
 
 enum CommArg : std::int64_t { kInProc = 0, kSocket = 1, kFp32 = 0, kBf16 = 1 };

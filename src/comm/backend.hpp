@@ -29,7 +29,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "comm/deadline.hpp"
@@ -53,14 +55,16 @@ struct Envelope {
   std::uint64_t flow_id = 0;
 };
 
-/// A rank's landing queue. Backends enqueue through push(); receivers
-/// spin on `arrivals` for one window and then park on `cv`. Backends also
-/// notify (empty lock/unlock first) whenever peer liveness changes so
+/// A rank's landing queue, plus the flow-id sequences of the messages the
+/// rank sends. Backends enqueue through push(); receivers spin on
+/// `arrivals` for one window and then park on `cv`. Backends also notify
+/// (empty lock/unlock first) whenever peer liveness changes so
 /// failure-aware waits re-evaluate.
 ///
 /// Lock order: a thread holding this mutex takes no other lock except the
 /// leaf telemetry locks (receive matching records the flow endpoint). A
-/// spinning receiver holds no lock at all. See DESIGN.md §12.
+/// spinning receiver holds no lock at all. `flow_mutex` is a leaf taken
+/// only by the owning rank's senders. See DESIGN.md §12.
 struct Mailbox {
   util::Mutex mutex;
   std::condition_variable cv;
@@ -73,6 +77,11 @@ struct Mailbox {
   /// by the backend before any rank runs: true when the world's ranks fit
   /// the hardware threads.
   bool spin = false;
+  /// Per-direction message counts keyed by (comm_id, tag, dst); see
+  /// Backend::next_flow_id.
+  util::Mutex flow_mutex;
+  std::map<std::tuple<std::uint64_t, std::int64_t, int>, std::uint64_t>
+      flow_seq LTFB_GUARDED_BY(flow_mutex);
 
   /// Queues `env` and wakes its receiver, parked or spinning.
   void push(Envelope env) {
@@ -134,9 +143,11 @@ class Backend {
 
   /// Flow-correlation id for the next message on (comm_id, tag, src->dst):
   /// a per-direction sequence hashed with the addressing tuple, |1 so 0
-  /// stays the "no flow" sentinel. Only called on telemetry-enabled paths.
-  virtual std::uint64_t next_flow_id(std::uint64_t comm_id, std::int64_t tag,
-                                     int src, int dst) = 0;
+  /// stays the "no flow" sentinel. The sequence lives in src's mailbox, so
+  /// only src's own threads ever take its lock, and src must be local.
+  /// Only called on telemetry-enabled paths.
+  std::uint64_t next_flow_id(std::uint64_t comm_id, std::int64_t tag, int src,
+                             int dst);
 
   /// Blocks until every world rank in `group` has either arrived at the
   /// rendezvous keyed by (comm_id, seq) or is known gone, then returns the

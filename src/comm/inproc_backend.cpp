@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <tuple>
 #include <utility>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/annotations.hpp"
-#include "util/rng.hpp"
 #include "util/spin_wait.hpp"
 
 namespace ltfb::comm {
@@ -115,21 +113,6 @@ class InProcBackend final : public Backend {
         1, std::memory_order_relaxed);
   }
 
-  std::uint64_t next_flow_id(std::uint64_t comm_id, std::int64_t tag, int src,
-                             int dst) override {
-    std::uint64_t seq = 0;
-    {
-      const util::MutexLock lock(flow_mutex_);
-      seq = flow_seq_[std::tuple(comm_id, tag, src, dst)]++;
-    }
-    const std::uint64_t pair =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-        static_cast<std::uint32_t>(dst);
-    return util::derive_seed(comm_id ^ static_cast<std::uint64_t>(tag), pair,
-                             seq) |
-           1ull;
-  }
-
   std::vector<int> shrink_rendezvous(std::uint64_t comm_id, std::uint64_t seq,
                                      int self_world,
                                      const std::vector<int>& group,
@@ -196,9 +179,6 @@ class InProcBackend final : public Backend {
   // guard: they are only ever reached through the map under shrink_mutex_.
   std::map<std::pair<std::uint64_t, std::uint64_t>, ShrinkPoint> shrink_points_
       LTFB_GUARDED_BY(shrink_mutex_);
-  util::Mutex flow_mutex_;
-  std::map<std::tuple<std::uint64_t, std::int64_t, int, int>, std::uint64_t>
-      flow_seq_ LTFB_GUARDED_BY(flow_mutex_);
 };
 
 }  // namespace

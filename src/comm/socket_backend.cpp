@@ -12,7 +12,6 @@
 #include <map>
 #include <set>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "comm/socket_io_testing.hpp"
@@ -21,7 +20,6 @@
 #include "telemetry/telemetry.hpp"
 #include "util/annotations.hpp"
 #include "util/compute_pool.hpp"
-#include "util/rng.hpp"
 #include "util/spin_wait.hpp"
 
 namespace ltfb::comm {
@@ -116,9 +114,6 @@ struct SocketEndpoint {
   std::condition_variable shrink_cv;
   std::map<std::pair<std::uint64_t, std::uint64_t>, ShrinkPoint> shrink_points
       LTFB_GUARDED_BY(shrink_mutex);
-  util::Mutex flow_mutex;
-  std::map<std::tuple<std::uint64_t, std::int64_t, int, int>, std::uint64_t>
-      flow_seq LTFB_GUARDED_BY(flow_mutex);
   std::atomic<std::uint64_t> ops{0};   // top-level communication ops
   std::atomic<std::uint64_t> msgs{0};  // user-level messages sent
   std::atomic<bool> finalized{false};
@@ -270,25 +265,6 @@ class SocketBackend final : public Backend {
 
   std::uint64_t next_msg(int world_rank) override {
     return endpoint(world_rank).msgs.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Per-endpoint flow maps produce the same ids a global map would: the
-  /// (comm_id, tag, src, dst) counter is only ever advanced by src, and src
-  /// must be local to advance it.
-  std::uint64_t next_flow_id(std::uint64_t comm_id, std::int64_t tag, int src,
-                             int dst) override {
-    SocketEndpoint& ep = endpoint(src);
-    std::uint64_t seq = 0;
-    {
-      const util::MutexLock lock(ep.flow_mutex);
-      seq = ep.flow_seq[std::tuple(comm_id, tag, src, dst)]++;
-    }
-    const std::uint64_t pair =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-        static_cast<std::uint32_t>(dst);
-    return util::derive_seed(comm_id ^ static_cast<std::uint64_t>(tag), pair,
-                             seq) |
-           1ull;
   }
 
   /// Cross-process survivor agreement. Everyone broadcasts ShrinkArrive;

@@ -24,8 +24,9 @@
 //
 // Naming convention: `subsystem/verb` — lowercase [a-z0-9_] segments
 // separated by '/', e.g. "datastore/fetch", "comm/allreduce",
-// "ltfb/round". Registration validates this; tools/ltfb_lint.py enforces
-// it statically for literals in src/, bench/, and examples/.
+// "ltfb/round". Registration validates this; the `telemetry` rule of
+// tools/ltfb_static.py enforces it statically for literals in src/, bench/,
+// and examples/.
 //
 // Overhead contract (verified by bench/telemetry_overhead):
 //   * compile-time: configure with -DLTFB_TELEMETRY=OFF and every macro
@@ -67,9 +68,8 @@ namespace ltfb::telemetry {
 // Clock
 // ---------------------------------------------------------------------------
 
-/// Simple wall-clock stopwatch (moved here from util/stopwatch.hpp, which
-/// now aliases it — the telemetry clock and the one users reach for are
-/// the same clock by construction).
+/// Simple wall-clock stopwatch: the telemetry clock and the one users
+/// reach for are the same clock by construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}

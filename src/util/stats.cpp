@@ -7,9 +7,6 @@
 
 namespace ltfb::util {
 
-// RunningStats now lives in src/telemetry/running_stats.hpp (header-only);
-// only the batch data-quality metrics remain here.
-
 namespace {
 
 template <typename T>

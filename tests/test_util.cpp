@@ -15,18 +15,18 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "telemetry/running_stats.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tensor/gemm.hpp"
 #include "util/compute_pool.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -129,7 +129,7 @@ TEST(Rng, UniformIntInclusiveBounds) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(8);
-  RunningStats stats;
+  telemetry::RunningStats stats;
   for (int i = 0; i < 100000; ++i) {
     stats.add(rng.normal());
   }
@@ -139,7 +139,7 @@ TEST(Rng, NormalMoments) {
 
 TEST(Rng, NormalWithParameters) {
   Rng rng(9);
-  RunningStats stats;
+  telemetry::RunningStats stats;
   for (int i = 0; i < 50000; ++i) {
     stats.add(rng.normal(5.0, 2.0));
   }
@@ -190,14 +190,14 @@ TEST(Rng, LongJumpChangesState) {
 // ---- stats ------------------------------------------------------------------
 
 TEST(RunningStats, EmptyDefaults) {
-  RunningStats s;
+  telemetry::RunningStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
 }
 
 TEST(RunningStats, KnownValues) {
-  RunningStats s;
+  telemetry::RunningStats s;
   for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.variance(), 4.0);
@@ -208,7 +208,7 @@ TEST(RunningStats, KnownValues) {
 
 TEST(RunningStats, MergeMatchesSinglePass) {
   Rng rng(14);
-  RunningStats whole, left, right;
+  telemetry::RunningStats whole, left, right;
   for (int i = 0; i < 1000; ++i) {
     const double v = rng.normal(3.0, 1.5);
     whole.add(v);
@@ -223,7 +223,7 @@ TEST(RunningStats, MergeMatchesSinglePass) {
 }
 
 TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
+  telemetry::RunningStats a, b;
   a.add(1.0);
   a.add(3.0);
   a.merge(b);
@@ -616,17 +616,11 @@ TEST(ComputePool, ForkedChildRunsInlineThenStartsItsOwnTeam) {
 }
 
 TEST(Stopwatch, MeasuresElapsed) {
-  Stopwatch sw;
+  telemetry::Stopwatch sw;
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_GE(sw.elapsed_seconds(), 0.005);
   sw.reset();
   EXPECT_LT(sw.elapsed_seconds(), 0.5);
-}
-
-TEST(Stopwatch, ShimAliasesTelemetryStopwatch) {
-  // util/stopwatch.hpp is a compatibility shim over the telemetry clock.
-  static_assert(
-      std::is_same_v<util::Stopwatch, ltfb::telemetry::Stopwatch>);
 }
 
 // ---- logger sinks -----------------------------------------------------------

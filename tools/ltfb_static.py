@@ -1,60 +1,78 @@
 #!/usr/bin/env python3
-"""Comm-protocol and concurrency-contract static analyzer for the LTFB repo.
+"""Static checker for the LTFB repo: repo invariants plus the comm-protocol
+and concurrency contracts that neither the compiler nor clang-tidy can see.
 
-Sibling of ltfb_lint.py, but where the lint pass checks shallow per-line
-invariants, this tool builds a small semantic model of the tree — comm call
-sites, tag constants, lock acquisitions, capability annotations — and checks
-cross-file protocol properties that neither the compiler nor a regex can see:
+Every file is read once into a model (comment/literal-stripped text, classes,
+function definitions, lock and tag declarations) and two kinds of rule run on
+it. Per-file rules check src/, tests/, bench/ and examples/, each within the
+path scope named below:
+
+  banned-call      (src/) no std::rand/srand, time(nullptr), assert() (use
+                   util/rng and LTFB_ASSERT) or naked new/delete (use
+                   containers and smart pointers).
+  stdout           (src/) std::cout/std::cerr/printf only in the designated
+                   sinks, util/logging and util/table.
+  include-hygiene  (all) headers use #pragma once; project includes are quoted
+                   src/-relative paths that resolve; a src/ .cpp includes its
+                   own header first so every header is proven self-contained.
+  comm-tags        (src/) the internal collective tag namespace (bit 62,
+                   Communicator::next_internal_tag) is minted only in
+                   src/comm/communicator.{hpp,cpp}.
+  entry-checks     (manifest) the concurrency substrate's public entry points
+                   validate their arguments/state (LTFB_CHECK/LTFB_ASSERT or a
+                   throw) in their own body, or forward to an overload that
+                   does.
+  matmul-nest      (src/ outside src/tensor/) no hand-rolled triple-nested
+                   multiply-accumulate: it bypasses the tiled, pool-threaded,
+                   conformance-tested tensor::gemm kernel and its telemetry.
+  isa-dispatch     (all but src/tensor/simd.hpp) no raw ISA conditionals
+                   (__AVX*__, __SSE*__, __ARM_NEON, __aarch64__,
+                   LTFB_SIMD_WIDTH, immintrin.h/arm_neon.h): width dispatch
+                   goes through the portable vec<W> wrapper.
+  telemetry        (src/, bench/, examples/) metric and span name literals
+                   follow the subsystem/verb convention ([a-z0-9_]+ segments
+                   joined by '/').
+
+Tree rules model src/ as a whole and check cross-file protocol properties:
 
   tag-pairing    Every message-tag family has both a send-side and a
-                 receive-side endpoint somewhere in the tree.  A tag that is
-                 only ever sent (or only ever received) is a protocol hole:
-                 the message either rots in a mailbox forever or the receiver
-                 deadlocks waiting for traffic nobody produces.  Endpoints
-                 are resolved through the backend API as well: a
-                 Backend::deliver(src, dst, Envelope{...}) call counts as a
-                 send endpoint, with the tag read out of the envelope
-                 aggregate (comm/backend.hpp).
-
-  tag-reuse      No tag base value is shared by two different subsystems
-                 (directories under src/).  The in-process Communicator keys
-                 mailbox matching on (peer, tag); two subsystems reusing one
-                 value can steal each other's messages.
-
-  comm-deadline  Dataflow form of the old lint rule: every blocking
-                 recv/sendrecv/wait/shrink in src/core and src/datastore
-                 must reach a deadline.  Unlike the regex rule this follows
-                 identifiers to their declarations, so `auto d =
-                 cfg.exchange_timeout; comm.recv(src, tag, d);` passes while
-                 a naked recv fails.  An explicit Deadline::never() does NOT
-                 satisfy the rule — spelling out "block forever" in the
-                 fault-tolerant layers is exactly the hang being hunted.
-
-  lock-order     Builds a lock digraph from MutexLock scope nesting,
-                 LTFB_REQUIRES/LTFB_ACQUIRE annotations, and the call graph
-                 (a call made while holding A inherits every lock the callee
-                 may take).  Any cycle is a potential deadlock.
-
-  rank-binding   Thread-boundary rule absorbed from ltfb_lint.py, upgraded
-                 from a file manifest to call-site detection: every
-                 std::thread / thread-vector emplace_back / pool submit that
-                 launches a lambda must bind telemetry rank identity
+                 receive-side endpoint somewhere in the tree; a tag only ever
+                 sent (or only ever received) rots in a mailbox or deadlocks
+                 its receiver. A Backend::deliver(src, dst, Envelope{...})
+                 call counts as a send endpoint, with the tag read out of the
+                 envelope aggregate (comm/backend.hpp).
+  tag-reuse      No tag base value is shared by two subsystems (directories
+                 under src/): mailbox matching keys on (peer, tag), so two
+                 subsystems reusing one value can steal each other's messages.
+  comm-deadline  Every blocking recv/sendrecv/wait/shrink in src/core and
+                 src/datastore reaches a deadline, following identifiers to
+                 their declarations (`auto d = cfg.exchange_timeout;
+                 comm.recv(src, tag, d);` passes). An explicit
+                 Deadline::never() does not count: spelling out "block
+                 forever" in the fault-tolerant layers is the hang hunted.
+  sched-ack      A file that sends on the scheduler command namespace
+                 (kSched...CmdTag) also receives the matching ack
+                 (kSched...AckTag) under a bounded deadline.
+  lock-order     The lock digraph built from MutexLock scope nesting,
+                 LTFB_REQUIRES/LTFB_ACQUIRE annotations and the call graph (a
+                 call made while holding A inherits every lock the callee may
+                 take) has no cycle.
+  rank-binding   Every std::thread / thread-vector emplace_back / pool submit
+                 that launches a lambda binds telemetry rank identity
                  (bind_rank / RankBinding / set_thread_name) in the lambda or
                  in a function the lambda directly calls.
+  guarded-field  A member annotated LTFB_GUARDED_BY(mu) is accessed bare only
+                 inside a method of its class while a MutexLock on `mu` is in
+                 scope, the method carries LTFB_REQUIRES(mu), or the method
+                 is a constructor/destructor (a GCC-side echo of Clang's
+                 -Wthread-safety).
 
-  guarded-field  Lightweight, compiler-independent echo of Clang's
-                 -Wthread-safety for the GCC-only path: a member annotated
-                 LTFB_GUARDED_BY(mu) may only be accessed bare (no object
-                 prefix) inside a method of its class while a MutexLock on
-                 `mu` is in scope, the method carries LTFB_REQUIRES(mu), or
-                 the method is a constructor/destructor.
-
-Known limitations (deliberate — this is a lint, not a compiler): lambda
-bodies are excluded from the lock-order scope analysis because they usually
-execute outside the enclosing critical section; the call graph is keyed by
-simple function name with a blocklist for std-container collisions; and the
-guarded-field rule only checks bare member accesses (prefixed accesses are
-Clang TSA's job under LTFB_THREAD_SAFETY=ON).
+Known limitations (deliberate: this is a lint, not a compiler): lambda bodies
+are excluded from the lock-order scope analysis because they usually run
+outside the enclosing critical section; the call graph is keyed by simple
+function name with a blocklist for std-container collisions; guarded-field
+checks only bare member accesses (prefixed ones are Clang TSA's job under
+LTFB_THREAD_SAFETY=ON).
 
 Usage:
   python3 tools/ltfb_static.py [--root DIR] [--json]
@@ -72,6 +90,9 @@ import json
 import re
 import sys
 from pathlib import Path
+
+SOURCE_DIRS = ("src", "tests", "bench", "examples")
+FIXTURES_REL = "tests/test_static_fixtures"
 
 # ---------------------------------------------------------------------------
 # Text utilities
@@ -94,58 +115,62 @@ CALL_NAME_BLOCKLIST = {
     "join", "detach", "substr", "append", "emplace", "contains", "value",
 }
 
+LEXEME_START = re.compile(r"//|/\*|[\"']")
+RAW_STRING_PREFIXES = {"R", "u8R", "uR", "UR", "LR"}
+RAW_STRING_OPEN = re.compile(r'"([^()\\\s"]{0,16})\(')
+NOT_NEWLINE = re.compile(r"[^\n]")
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blank comments and string/char literals, preserving offsets/newlines."""
+
+def word_before(text: str, i: int, extra: str = "") -> str:
+    """The run of identifier characters (plus `extra`) ending at offset i."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_" + extra):
+        j -= 1
+    return text[j:i]
+
+
+def strip_cpp(text: str, keep_strings: bool = False) -> str:
+    """Blanks comments and, unless keep_strings, the contents of string and
+    char literals (raw strings included), preserving offsets and newlines so
+    line numbers in findings stay accurate. A quote inside a numeric literal
+    is a C++14 digit separator (0x5bf0'3635ull), not a char literal."""
     out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif c == "/" and nxt == "*":
-            out[i] = out[i + 1] = " "
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-        elif c == '"' and re.search(r"(?:u8|[uUL])?R$", text[max(0, i - 3):i]):
-            # Raw string literal: R"delim( ... )delim"
-            m = re.match(r'"([^(\s"\\]*)\(', text[i:])
-            if m is None:
-                i += 1
-                continue
-            closer = ")" + m.group(1) + '"'
-            end = text.find(closer, i + m.end())
-            end = (end + len(closer)) if end >= 0 else n
-            for j in range(i, end):
-                if text[j] != "\n":
-                    out[j] = " "
-            i = end
-        elif c in "\"'":
-            quote = c
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    out[i] = " "
-                    i += 1
-                    if i < n and text[i] != "\n":
-                        out[i] = " "
-                    i += 1
-                    continue
-                if text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            i += 1
+
+    def blank(start: int, end: int, keep: bool = False):
+        if not keep:
+            out[start:end] = NOT_NEWLINE.sub(" ", text[start:end])
+
+    n = len(text)
+    m = LEXEME_START.search(text)
+    while m:
+        i, lexeme = m.start(), m.group(0)
+        if lexeme == "//":
+            end = text.find("\n", i)
+            end = n if end < 0 else end
+            blank(i, end)
+        elif lexeme == "/*":
+            end = text.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            blank(i, end)
+        elif lexeme == '"' and word_before(text, i) in RAW_STRING_PREFIXES:
+            raw = RAW_STRING_OPEN.match(text, i)
+            if raw is None:
+                end = i + 1
+            else:
+                closer = ")" + raw.group(1) + '"'
+                end = text.find(closer, raw.end())
+                end = n if end < 0 else end + len(closer)
+                blank(i + 1, end - 1, keep_strings)
+        elif lexeme == "'" and word_before(text, i, "'.")[:1].isdigit():
+            end = i + 1  # digit separator inside a numeric literal
         else:
-            i += 1
+            j = i + 1
+            while j < n and text[j] != lexeme:
+                j += 2 if text[j] == "\\" else 1
+            end = min(j, n)
+            blank(i + 1, end, keep_strings)
+            end += 1
+        m = LEXEME_START.search(text, end)
     return "".join(out)
 
 
@@ -231,12 +256,14 @@ CLASS_HEAD = re.compile(
     r"([A-Za-z_]\w*(?:\s*::\s*[A-Za-z_]\w*)*)\s*(?:final\s*)?"
     r"(?::\s*(?!:)[^{;]*)?\{"
 )
-FUNC_NAME = re.compile(r"[A-Za-z_~][\w]*(?:\s*::\s*~?[A-Za-z_][\w]*)*\s*\(")
+FUNC_NAME = re.compile(
+    r"(?:[A-Za-z_]\w*\s*::\s*)*"
+    r"(?:operator\s*(?:\(\s*\)|\[\s*\]|[^\w\s(]+)|~?[A-Za-z_]\w*)\s*\(")
+DIRECTIVE = re.compile(r"^[ \t]*#(?:.*\\\n)*.*", re.MULTILINE)
 MUTEX_DECL = re.compile(r"\b(?:util\s*::\s*)?Mutex\s+(\w+)\s*;")
 GUARDED_DECL = re.compile(r"(\w+)\s+LTFB_GUARDED_BY\s*\(")
 ACQ_RE = re.compile(r"\b(?:util\s*::\s*)?MutexLock\s+\w+\s*\(")
 ANNOT_RE = re.compile(r"\bLTFB_(REQUIRES|ACQUIRE)\s*\(")
-LAMBDA_HEAD = re.compile(r"\[")
 CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
 ASSIGN_RE = re.compile(
     r"((?:\w+\s*(?:\.|->)\s*)*\w+)\s*(?<![=!<>+\-*/|&%^])=(?!=)\s*([^;{}]+);"
@@ -245,23 +272,32 @@ TAG_CONST_RE = re.compile(r"\b(k\w*Tag\w*)\b\s*=\s*([^;,})]+)")
 
 
 class FunctionDef:
-    def __init__(self, name, cls, head_ofs, body_start, body_end, requires, acquires):
+    def __init__(self, name, cls, head_ofs, params_end, body_start, body_end,
+                 requires, acquires):
         self.name = name          # simple name (no qualifier)
         self.cls = cls            # enclosing/qualifying class name or None
         self.head_ofs = head_ofs
-        self.body_start = body_start  # offset of '{' (or -1 for declarations)
-        self.body_end = body_end
+        self.params_end = params_end  # just past the parameter list's ')'
+        self.body_start = body_start  # offset of '{'
+        self.body_end = body_end      # offset of the matching '}'
         self.requires = requires  # raw capability expressions
         self.acquires = acquires
 
 
 class FileModel:
-    def __init__(self, path: Path, rel: str, subsystem: str):
+    def __init__(self, path: Path, root: Path, fixture_mode: bool):
         self.path = path
-        self.rel = rel
-        self.subsystem = subsystem
-        self.raw = path.read_text()
-        self.text = strip_comments_and_strings(self.raw)
+        self.root = root          # `rel` is relative to this directory
+        self.rel = path.relative_to(root).as_posix()
+        parts = Path(self.rel).parts
+        if fixture_mode:
+            self.subsystem = parts[0] if len(parts) > 1 else path.stem
+        else:
+            self.subsystem = parts[1] if len(parts) > 1 and parts[0] == "src" \
+                else parts[0]
+        self.raw = path.read_text(encoding="utf-8")
+        self.text = strip_cpp(self.raw)  # code only
+        self.code = strip_cpp(self.raw, keep_strings=True)  # code + literals
         self.classes = []          # (name, body_start, body_end)
         self.functions = []        # FunctionDef (definitions only)
         self.declared_requires = {}  # (cls, name) -> [expr]
@@ -291,15 +327,23 @@ class FileModel:
     # -- function definitions / declarations --------------------------------
     def _parse_functions(self):
         text = self.text
+        # A name inside a preprocessor directive (a macro body) is never a
+        # definition, however the code after the directive continues.
+        directives = [(m.start(), m.end()) for m in DIRECTIVE.finditer(text)]
         pos = 0
         while True:
             m = FUNC_NAME.search(text, pos)
             if not m:
                 break
-            name_tok = m.group(0)[:-1].strip()
+            while directives and directives[0][1] <= m.start():
+                directives.pop(0)
+            if directives and directives[0][0] <= m.start():
+                pos = directives[0][1]
+                continue
+            name_tok = normalize_expr(m.group(0)[:-1])
             open_paren = m.end() - 1
             prev = text[:m.start()].rstrip()[-2:] if m.start() else ""
-            simple = name_tok.split("::")[-1].strip()
+            simple = name_tok.split("::")[-1]
             if (
                 simple in CPP_KEYWORDS
                 or simple.isupper()
@@ -313,8 +357,9 @@ class FileModel:
                 pos = m.end()
                 continue
             # Scan the header tail for `{` (definition) or `;` (declaration),
-            # skipping parenthesized groups (LTFB_REQUIRES(...), init lists).
-            i, body_start, is_decl = after_args, -1, False
+            # skipping parenthesized groups (LTFB_REQUIRES(...)) and a
+            # constructor's init list (`: a_(x), b_{y}`).
+            i, body_start, is_decl, init_list = after_args, -1, False, False
             while i < len(text):
                 c = text[i]
                 if c == "(":
@@ -324,13 +369,19 @@ class FileModel:
                     i = j
                     continue
                 if c == "{":
+                    if init_list and re.match(r"[\w>]", text[:i].rstrip()[-1:]):
+                        i = match_brace(text, i) + 1  # member brace-init
+                        continue
                     body_start = i
                     break
                 if c == ";":
                     is_decl = True
                     break
-                if c in ")]}," or (c == "=" and not text.startswith("= 0", i)
-                                   and not re.match(r"=\s*(default|delete)", text[i:])):
+                if c == ":" and "::" not in text[i - 1:i + 2]:
+                    init_list = True
+                elif c in ")]}" or (c == "," and not init_list) or (
+                        c == "=" and not text.startswith("= 0", i)
+                        and not re.match(r"=\s*(default|delete)", text[i:])):
                     break
                 i += 1
             else:
@@ -347,16 +398,14 @@ class FileModel:
                 expr = tail[am.end():close - 1].strip()
                 if expr:
                     (requires if am.group(1) == "REQUIRES" else acquires).append(expr)
-            qual = name_tok.rsplit("::", 1)[0].split("::")[-1].strip() \
+            qual = name_tok.rsplit("::", 1)[0].split("::")[-1] \
                 if "::" in name_tok else None
             cls = qual or self.enclosing_class(m.start())
             if body_start >= 0:
                 body_end = match_brace(text, body_start)
                 self.functions.append(FunctionDef(
-                    simple.lstrip("~"), cls, m.start(), body_start, body_end,
+                    simple, cls, m.start(), after_args, body_start, body_end,
                     requires, acquires))
-                if simple.startswith("~"):
-                    self.functions[-1].name = "~" + self.functions[-1].name
                 pos = body_end + 1
             else:
                 if requires or acquires:
@@ -495,6 +544,385 @@ class TreeModel:
 
 
 # ---------------------------------------------------------------------------
+# Per-file rules: banned-call, stdout, comm-tags, isa-dispatch, telemetry
+# ---------------------------------------------------------------------------
+# Each entry: (rule, path prefixes in scope, exempt paths, pattern, message,
+# whether the pattern reads string literals). A match anywhere in an in-scope
+# file is a finding at the match's line.
+
+BANNED_CALLS = [
+    (r"\bstd::rand\b|\bsrand\s*\(",
+     "std::rand/srand is banned; use util/rng.hpp (seeded, reproducible)"),
+    (r"\btime\s*\(\s*(nullptr|NULL|0)\s*\)",
+     "time(nullptr) is banned; timing comes from telemetry::Stopwatch and "
+     "seeds from util/rng.hpp"),
+    (r"(?<![_\w.])assert\s*\(",
+     "assert() is banned; use LTFB_ASSERT (stays live under "
+     "LTFB_BOUNDS_CHECK) or LTFB_CHECK"),
+    (r"(?<![_\w])new\s+(?![(])[A-Za-z_]",
+     "naked new is banned; use std::make_unique/make_shared or a container"),
+    (r"(?<![_\w])delete\s+(?!;)[A-Za-z_(]",
+     "naked delete is banned; ownership belongs in smart pointers"),
+]
+
+PATTERN_RULES = [
+    ("banned-call", ("src/",), (), re.compile(pattern), message, False)
+    for pattern, message in BANNED_CALLS
+] + [
+    # Designated output sinks: the logging backend and the bench table
+    # printer.
+    ("stdout", ("src/",), ("src/util/logging.cpp", "src/util/table.cpp"),
+     re.compile(r"\bstd::(cout|cerr)\b|(?<![_\w.:])f?printf\s*\("),
+     "library code must not write to stdout/stderr directly; route through "
+     "util/logging (or util/table for bench tables)", False),
+    # The internal tag namespace: bit 62, minted by next_internal_tag. Any
+    # other file computing tags this large would collide with collective
+    # traffic.
+    ("comm-tags", ("src/",),
+     ("src/comm/communicator.cpp", "src/comm/communicator.hpp"),
+     re.compile(r"<<\s*62\b|next_internal_tag"),
+     "the internal collective tag namespace (bit 62 / next_internal_tag) is "
+     "reserved to src/comm/communicator.cpp", False),
+    # ISA knowledge is confined to the SIMD wrapper: everything else writes
+    # width-generic vec<W> code and is compiled at whatever width
+    # cmake/LtfbSimd.cmake selected. A raw __AVX2__ branch elsewhere would
+    # silently diverge between build configurations.
+    ("isa-dispatch", ("",), ("src/tensor/simd.hpp",),
+     re.compile(r"__AVX\w*__|__SSE\w*__|__ARM_NEON\w*|__aarch64__"
+                r"|\bLTFB_SIMD_WIDTH\b|immintrin\.h|arm_neon\.h"),
+     "raw ISA conditionals are reserved to src/tensor/simd.hpp; write "
+     "width-generic code against tensor::simd::vec (kNativeWidth, "
+     "main_loop_bound) instead", True),
+]
+
+
+def check_patterns(fm: FileModel, findings: list):
+    for rule, scope, exempt, pattern, message, reads_literals in PATTERN_RULES:
+        if not fm.rel.startswith(scope) or fm.rel in exempt:
+            continue
+        text = fm.code if reads_literals else fm.text
+        for m in pattern.finditer(text):
+            findings.append(Finding(rule, fm.rel, line_of(text, m.start()),
+                                    message))
+
+
+# Metric and span names are registered once and become JSON keys / Perfetto
+# track labels; the subsystem/verb convention is enforced on the literals
+# handed to the telemetry macros and Registry registration calls.
+METRIC_NAME = re.compile(r"^[a-z0-9_]+(/[a-z0-9_]+)+$")
+METRIC_CALL = re.compile(
+    r"(?:\bLTFB_SPAN|\bLTFB_COUNTER_ADD|\bLTFB_GAUGE_SET"
+    r"|\bLTFB_TIMER_RECORD|\bLTFB_TIMED_SCOPE"
+    r"|\.\s*counter|\.\s*gauge|\.\s*timer|\brecord_sim_span)"
+    r"\s*\(\s*\"([^\"]*)\"")
+
+
+def check_metric_names(fm: FileModel, findings: list):
+    if not fm.rel.startswith(("src/", "bench/", "examples/")):
+        return
+    for m in METRIC_CALL.finditer(fm.code):
+        name = m.group(1)
+        if not METRIC_NAME.match(name):
+            findings.append(Finding(
+                "telemetry", fm.rel, line_of(fm.code, m.start()),
+                f'metric name "{name}" violates the subsystem/verb '
+                "convention ([a-z0-9_]+ segments joined by '/')"))
+
+
+# ---------------------------------------------------------------------------
+# Per-file rule: include-hygiene
+# ---------------------------------------------------------------------------
+
+INCLUDE_PATTERN = re.compile(r'^[ \t]*#[ \t]*include[ \t]+([<"][^>"]+[>"])',
+                             re.MULTILINE)
+
+# Project headers live under src/<lib>/; their include form is the quoted
+# src/-relative path.
+PROJECT_INCLUDE_DIRS = ("util/", "tensor/", "comm/", "nn/", "jag/", "data/",
+                        "datastore/", "gan/", "workflow/", "core/",
+                        "simulator/", "perf/", "telemetry/")
+
+
+def check_include_hygiene(fm: FileModel, repo: Path, findings: list):
+    """Quoted includes resolve under src/ of the file's own root or of the
+    repo (fixtures include real headers), or next to the including file."""
+    rel = fm.rel
+    if rel.endswith(".hpp") and "#pragma once" not in fm.raw:
+        findings.append(Finding("include-hygiene", rel, 1,
+                                "header is missing #pragma once"))
+    includes = list(INCLUDE_PATTERN.finditer(fm.code))
+    for m in includes:
+        spec = m.group(1)
+        target = spec[1:-1]
+        line = line_of(fm.code, m.start())
+        if target.startswith("../") or "/../" in target:
+            findings.append(Finding(
+                "include-hygiene", rel, line,
+                f'include "{target}" must be a src/-relative path, not a '
+                "parent-relative one"))
+        if spec.startswith("<") and target.startswith(PROJECT_INCLUDE_DIRS):
+            findings.append(Finding(
+                "include-hygiene", rel, line,
+                f"project header <{target}> must use the quoted include "
+                "form"))
+        if spec.startswith('"') and not any(
+                (d / target).is_file()
+                for d in (fm.root / "src", repo / "src", fm.path.parent)):
+            findings.append(Finding(
+                "include-hygiene", rel, line,
+                f'quoted include "{target}" resolves neither under src/ '
+                "nor next to the including file (system headers use <...>)"))
+    # A library .cpp must include its own header first: that proves every
+    # header compiles stand-alone (no hidden include-order dependencies).
+    if rel.startswith("src/") and rel.endswith(".cpp") and includes:
+        own = rel[len("src/"):-len(".cpp")] + ".hpp"
+        if (fm.root / "src" / own).is_file():
+            first = includes[0].group(1)[1:-1]
+            if first != own:
+                findings.append(Finding(
+                    "include-hygiene", rel,
+                    line_of(fm.code, includes[0].start()),
+                    f'first include must be the file\'s own header "{own}" '
+                    f'(found "{first}")'))
+
+
+# ---------------------------------------------------------------------------
+# Per-file rule: matmul-nest
+# ---------------------------------------------------------------------------
+# A hand-rolled GEMM: the innermost of >= 3 nested for loops accumulating a
+# product of two INDEXED operands (`a[..] * b[..]` or `a.at(..) * b.at(..)`).
+# Requiring indexed-times-indexed keeps scalar accumulations (distance sums,
+# dot products over fixed-size points) out of scope. Only src/tensor/ may
+# contain one (the tiled kernel and its naive conformance reference).
+
+FOR_LOOP = re.compile(r"\bfor\s*\(")
+MAC_STATEMENT = re.compile(
+    r"\+=[^;{}]*(?:\]\s*\*\s*[\w.>:-]*\[|\)\s*\*\s*[\w.>:-]*\()")
+
+
+def for_loop_extents(text: str):
+    """Yields (for_offset, body_start, body_end) for every for loop. The body
+    of a braced loop is its block; an unbraced loop's body runs to the
+    statement-terminating ';' (so `for(..) for(..) for(..) s;` nests)."""
+    n = len(text)
+    for m in FOR_LOOP.finditer(text):
+        j = match_paren(text, m.end() - 1)
+        if j < 0:
+            continue
+        while j < n and text[j].isspace():
+            j += 1
+        if j >= n:
+            continue
+        if text[j] == "{":
+            yield m.start(), j, min(match_brace(text, j) + 1, n)
+            continue
+        k, depth = j, 0
+        while k < n:
+            c = text[k]
+            if c in "({":
+                depth += 1
+            elif c in ")}":
+                depth -= 1
+            elif c == ";" and depth <= 0:
+                break
+            k += 1
+        yield m.start(), j, min(k + 1, n)
+
+
+def check_matmul_nest(fm: FileModel, findings: list):
+    if not fm.rel.startswith("src/") or fm.rel.startswith("src/tensor/"):
+        return
+    extents = list(for_loop_extents(fm.text))
+    for start, body_start, body_end in extents:
+        body = fm.text[body_start:body_end]
+        # Flag only the innermost loop of a nest: it holds the MAC statement
+        # and no further for loop, so each nest reports once.
+        if FOR_LOOP.search(body) or not MAC_STATEMENT.search(body):
+            continue
+        ancestors = sum(1 for s, b, e in extents if s != start and b <= start < e)
+        if ancestors >= 2:
+            findings.append(Finding(
+                "matmul-nest", fm.rel, line_of(fm.text, start),
+                "raw triple-nested multiply-accumulate loop: use "
+                "tensor::gemm/matmul (register-tiled, pool-threaded, "
+                "conformance-tested) instead of a hand-rolled kernel"))
+
+
+# ---------------------------------------------------------------------------
+# Per-file rule: entry-checks
+# ---------------------------------------------------------------------------
+# Public entry points of the concurrency substrate that must validate
+# arguments/state in their own body. Maps file -> [(display name, definition
+# name)]; a `Class::name` definition name matches only that class's
+# definitions, a bare one every definition of that name in the file.
+
+ENTRY_CHECK_MANIFEST = {
+    "src/comm/communicator.cpp": [
+        ("Communicator::world_rank_of", "Communicator::world_rank_of"),
+        ("Communicator::send", "Communicator::send"),
+        ("Communicator::recv", "Communicator::recv"),
+        ("Communicator::sendrecv", "Communicator::sendrecv"),
+        ("Communicator::take_payload", "Communicator::take_payload"),
+        ("Communicator::broadcast", "Communicator::broadcast"),
+        ("Communicator::reduce", "Communicator::reduce"),
+        ("Communicator::gather", "Communicator::gather"),
+        ("Communicator::scatter", "Communicator::scatter"),
+        ("Communicator::split", "Communicator::split"),
+        ("Communicator::shrink", "Communicator::shrink"),
+        ("Request::test", "Request::test"),
+        ("Request::wait", "Request::wait"),
+        ("World::World", "World::World"),
+        ("World::communicator", "World::communicator"),
+        ("World::spawn_processes", "World::spawn_processes"),
+    ],
+    "src/comm/serializer.cpp": [
+        ("Deserializer::consume", "Deserializer::consume"),
+        ("Deserializer::expect_end", "Deserializer::expect_end"),
+        ("Deserializer::unpack_floats", "Deserializer::unpack_floats"),
+    ],
+    "src/comm/wire.cpp": [
+        ("wire::encode_frame", "encode_frame"),
+        ("wire::decode_frame_body", "decode_frame_body"),
+    ],
+    "src/comm/socket_backend.cpp": [
+        ("spawn_socket_mesh", "spawn_socket_mesh"),
+    ],
+    "src/comm/fault.cpp": [
+        ("FaultSchedule::parse", "FaultSchedule::parse"),
+        ("FaultSchedule::random_kill", "FaultSchedule::random_kill"),
+    ],
+    "src/datastore/data_store.cpp": [
+        ("DataStore::DataStore", "DataStore::DataStore"),
+        ("DataStore::preload", "DataStore::preload"),
+        ("DataStore::fetch", "DataStore::fetch"),
+        ("DataStore::begin_fetch", "DataStore::begin_fetch"),
+        ("DataStore::collect_fetch", "DataStore::collect_fetch"),
+        ("DataStore::build_directory", "DataStore::build_directory"),
+        ("DataStore::stats", "DataStore::stats"),
+        ("DataStore::insert_local", "DataStore::insert_local"),
+        ("DataStore::repair_directory", "DataStore::repair_directory"),
+    ],
+    "src/core/population_checkpoint.cpp": [
+        ("save_population_checkpoint", "save_population_checkpoint"),
+        ("load_population_checkpoint", "load_population_checkpoint"),
+        ("decode_population_checkpoint", "decode_population_checkpoint"),
+    ],
+    "src/core/ltfb.cpp": [
+        ("tournament_exchange", "tournament_exchange"),
+    ],
+    "src/core/ltfb_comm.cpp": [
+        ("run_distributed_ltfb", "run_distributed_ltfb"),
+    ],
+    "src/core/scheduler.cpp": [
+        ("ElasticScheduler::ElasticScheduler",
+         "ElasticScheduler::ElasticScheduler"),
+        ("ElasticScheduler::issue_boundary", "ElasticScheduler::issue_boundary"),
+        ("SchedulerClient::SchedulerClient", "SchedulerClient::SchedulerClient"),
+        ("SchedulerClient::ack", "SchedulerClient::ack"),
+        ("run_elastic_ltfb", "run_elastic_ltfb"),
+    ],
+    "src/util/thread_pool.hpp": [
+        ("ThreadPool::submit", "submit"),
+    ],
+    "src/util/compute_pool.cpp": [
+        ("ComputePool::resize", "ComputePool::resize"),
+        ("ComputePool::run_tasks", "ComputePool::run_tasks"),
+        ("ComputePool::parallel_ranges", "ComputePool::parallel_ranges"),
+        ("ComputePool::env_threads", "ComputePool::env_threads"),
+    ],
+    "src/nn/parallel.cpp": [
+        ("GradientBucketer::GradientBucketer",
+         "GradientBucketer::GradientBucketer"),
+        ("GradientBucketer::wire_dtype_from_env",
+         "GradientBucketer::wire_dtype_from_env"),
+        ("GradientBucketer::receive_chunk", "GradientBucketer::receive_chunk"),
+        ("GradientBucketer::finish", "GradientBucketer::finish"),
+    ],
+    "src/nn/optimizer.cpp": [
+        ("LossScaleController::LossScaleController",
+         "LossScaleController::LossScaleController"),
+        ("LossScalingOptimizer::LossScalingOptimizer",
+         "LossScalingOptimizer::LossScalingOptimizer"),
+        ("make_loss_scaling_factory", "make_loss_scaling_factory"),
+    ],
+    "src/nn/checkpoint.cpp": [
+        ("nn::save_weights", "save_weights"),
+        ("nn::load_weights", "load_weights"),
+        ("nn::half_kind", "half_kind"),
+    ],
+    "src/tensor/half.hpp": [
+        ("tensor::encode_half", "encode_half"),
+        ("tensor::decode_half", "decode_half"),
+    ],
+    "src/tensor/tensor.hpp": [
+        ("Tensor::at", "at"),
+        ("Tensor::row", "row"),
+        ("Tensor::operator[]", "operator[]"),
+    ],
+    "src/tensor/tensor.cpp": [
+        ("Tensor::reshape", "Tensor::reshape"),
+    ],
+    "src/telemetry/telemetry.cpp": [
+        ("Registry::counter", "Registry::counter"),
+        ("Registry::gauge", "Registry::gauge"),
+        ("Registry::timer", "Registry::timer"),
+        ("Registry::record_sim_span", "Registry::record_sim_span"),
+        ("telemetry::bind_rank", "bind_rank"),
+    ],
+    "src/telemetry/flight_recorder.cpp": [
+        ("flight::start_watchdog", "start_watchdog"),
+        ("flight::set_process_rank", "set_process_rank"),
+        ("flight::set_postmortem_dir", "set_postmortem_dir"),
+    ],
+    "src/core/metrics_aggregator.cpp": [
+        ("ClusterMetricsAggregator::ClusterMetricsAggregator",
+         "ClusterMetricsAggregator::ClusterMetricsAggregator"),
+    ],
+}
+
+VALIDATION_KEYWORDS = re.compile(
+    r"\bLTFB_CHECK\b|\bLTFB_CHECK_MSG\b|\bLTFB_ASSERT\b|\bthrow\b"
+    r"|\bthrow_format\b|\bcheck_no_fetch_in_flight\b")
+
+# A body that is a single delegation statement — `{ other(args); }` or
+# `{ return other(args); }` — inherits the callee's validation.
+DELEGATION_BODY = re.compile(
+    r"^\{\s*(return\s+)?[\w:]+\s*\([^;{}]*\)\s*;\s*\}$")
+
+# A delegating constructor — `: Type(args) {}` — likewise inherits the
+# target constructor's validation. Matched against the text between the
+# parameter list's closing paren and the (empty) body.
+DELEGATING_CTOR = re.compile(r"^\s*:\s*[\w:]+\s*\(.*\)\s*$", re.DOTALL)
+
+
+def check_entry_points(fm: FileModel, findings: list):
+    for display, token in ENTRY_CHECK_MANIFEST.get(fm.rel, ()):
+        cls, _, name = token.rpartition("::")
+        defs = [fn for fn in fm.functions
+                if fn.name == name and (not cls or fn.cls == cls)]
+        if not defs:
+            findings.append(Finding(
+                "entry-checks", fm.rel, 1,
+                f"manifest entry point {display} not found — update "
+                "tools/ltfb_static.py if it moved or was renamed"))
+        for fn in defs:
+            body = fm.text[fn.body_start:fn.body_end + 1].strip()
+            if VALIDATION_KEYWORDS.search(body) or DELEGATION_BODY.match(body):
+                continue  # checks, or a one-line forwarder to a checked overload
+            if re.fullmatch(r"\{\s*\}", body) and DELEGATING_CTOR.match(
+                    fm.text[fn.params_end:fn.body_start]):
+                continue  # delegating constructor: target validates
+            findings.append(Finding(
+                "entry-checks", fm.rel, line_of(fm.text, fn.head_ofs),
+                f"public entry point {display} must validate its "
+                "arguments/state (LTFB_CHECK / LTFB_ASSERT / throw)"))
+
+
+FILE_RULES = (check_patterns, check_metric_names, check_matmul_nest,
+              check_entry_points)
+
+
+# ---------------------------------------------------------------------------
 # Rule: tag-pairing / tag-reuse
 # ---------------------------------------------------------------------------
 
@@ -552,15 +980,37 @@ def resolve_tag_family(expr: str, fm: FileModel, tag_const_names: set, depth=0):
     return ("expr", fm.rel, norm)
 
 
-def check_tags(tree: TreeModel, findings: list):
+def tag_scope(tree: TreeModel):
+    """Files the tag rules read (src/comm/ is the transport itself, not a
+    protocol user) and the tag constant names declared across them."""
     scoped = [fm for fm in tree.files
               if tree.fixture_mode or not fm.rel.startswith("src/comm/")]
-    tag_const_names = set()
-    consts = []  # (name, value, subsystem, fm, ofs)
-    for fm in scoped:
-        for name, value, ofs in fm.tag_consts:
-            tag_const_names.add(name)
-            consts.append((name, value, fm.subsystem, fm, ofs))
+    return scoped, {name for fm in scoped for name, _v, _o in fm.tag_consts}
+
+
+def tag_endpoints(fm: FileModel, tag_const_names: set):
+    """(offset, kind, tag family, argument text) of each send/recv/deliver
+    call site whose tag argument can be read."""
+    for m in ENDPOINT_RE.finditer(fm.text):
+        open_paren = fm.text.index("(", m.end() - 1)
+        close = match_paren(fm.text, open_paren)
+        if close < 0:
+            continue
+        argtext = fm.text[open_paren + 1:close - 1]
+        args = split_args(argtext)
+        if m.group(2) == "deliver":
+            tag_arg = deliver_tag_arg(args)
+        else:
+            tag_arg = args[1] if len(args) >= 2 else None
+        if tag_arg is not None:
+            yield (m.start(), SEND_KINDS[m.group(2)],
+                   resolve_tag_family(tag_arg, fm, tag_const_names), argtext)
+
+
+def check_tags(tree: TreeModel, findings: list):
+    scoped, tag_const_names = tag_scope(tree)
+    consts = [(name, value, fm.subsystem, fm, ofs)
+              for fm in scoped for name, value, ofs in fm.tag_consts]
 
     # tag-reuse: base values must be distinct across subsystems.
     by_value = {}
@@ -581,23 +1031,10 @@ def check_tags(tree: TreeModel, findings: list):
     # tag-pairing: each family needs a send-side and a recv-side endpoint.
     families = {}  # family -> {"send": [(fm, ofs)], "recv": [...]}
     for fm in scoped:
-        for m in ENDPOINT_RE.finditer(fm.text):
-            open_paren = fm.text.index("(", m.end() - 1)
-            close = match_paren(fm.text, open_paren)
-            if close < 0:
-                continue
-            args = split_args(fm.text[open_paren + 1:close - 1])
-            if m.group(2) == "deliver":
-                tag_arg = deliver_tag_arg(args)
-            else:
-                tag_arg = args[1] if len(args) >= 2 else None
-            if tag_arg is None:
-                continue
-            family = resolve_tag_family(tag_arg, fm, tag_const_names)
+        for ofs, kind, family, _args in tag_endpoints(fm, tag_const_names):
             entry = families.setdefault(family, {"send": [], "recv": []})
-            kind = SEND_KINDS[m.group(2)]
             for k in (("send", "recv") if kind == "both" else (kind,)):
-                entry[k].append((fm, m.start()))
+                entry[k].append((fm, ofs))
     for family in sorted(families, key=str):
         entry = families[family]
         for missing, present in (("recv", "send"), ("send", "recv")):
@@ -685,36 +1122,17 @@ SCHED_ACK_CONST = re.compile(r"kSched\w*AckTag")
 
 
 def check_sched_protocol(tree: TreeModel, findings: list):
-    scoped = [fm for fm in tree.files
-              if tree.fixture_mode or not fm.rel.startswith("src/comm/")]
-    tag_const_names = set()
-    for fm in scoped:
-        for name, _value, _ofs in fm.tag_consts:
-            tag_const_names.add(name)
+    scoped, tag_const_names = tag_scope(tree)
     for fm in scoped:
         cmd_send_ofs = None
         bounded_ack_recv = False
-        for m in ENDPOINT_RE.finditer(fm.text):
-            open_paren = fm.text.index("(", m.end() - 1)
-            close = match_paren(fm.text, open_paren)
-            if close < 0:
-                continue
-            args = split_args(fm.text[open_paren + 1:close - 1])
-            if m.group(2) == "deliver":
-                tag_arg = deliver_tag_arg(args)
-            else:
-                tag_arg = args[1] if len(args) >= 2 else None
-            if tag_arg is None:
-                continue
-            family = resolve_tag_family(tag_arg, fm, tag_const_names)
+        for ofs, kind, family, argtext in tag_endpoints(fm, tag_const_names):
             if family[0] != "const":
                 continue
-            kind = SEND_KINDS[m.group(2)]
             if kind in ("send", "both") and SCHED_CMD_CONST.search(family[1]):
                 if cmd_send_ofs is None:
-                    cmd_send_ofs = m.start()
+                    cmd_send_ofs = ofs
             if kind in ("recv", "both") and SCHED_ACK_CONST.search(family[1]):
-                argtext = fm.text[open_paren + 1:close - 1]
                 if args_have_deadline(argtext, fm):
                     bounded_ack_recv = True
         if cmd_send_ofs is not None and not bounded_ack_recv:
@@ -938,79 +1356,81 @@ def check_guarded_fields(tree: TreeModel, findings: list):
                         f"util::MutexLock or annotate LTFB_REQUIRES"))
 
 
+TREE_RULES = (check_tags, check_deadlines, check_sched_protocol,
+              check_lock_order, check_rank_binding, check_guarded_fields)
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
-ALL_RULES = ("tag-pairing", "tag-reuse", "comm-deadline", "sched-ack",
+ALL_RULES = ("banned-call", "stdout", "include-hygiene", "comm-tags",
+             "entry-checks", "matmul-nest", "isa-dispatch", "telemetry",
+             "tag-pairing", "tag-reuse", "comm-deadline", "sched-ack",
              "lock-order", "rank-binding", "guarded-field")
 
 
-def build_tree(root: Path, files: list[Path], fixture_mode: bool) -> TreeModel:
-    models = []
-    for path in sorted(files):
-        rel = path.relative_to(root).as_posix()
-        if rel.endswith("util/annotations.hpp"):
-            continue  # the vocabulary itself, not a subject
-        parts = Path(rel).parts
-        if fixture_mode:
-            subsystem = parts[0] if len(parts) > 1 else Path(rel).stem
-        else:
-            subsystem = parts[1] if len(parts) > 1 and parts[0] == "src" \
-                else parts[0]
-        models.append(FileModel(path, rel, subsystem))
-    return TreeModel(models, fixture_mode)
+def source_files(base: Path) -> list[Path]:
+    return sorted(p for p in base.rglob("*")
+                  if p.suffix in (".cpp", ".hpp") and p.is_file())
 
 
-def run_rules(tree: TreeModel) -> list[Finding]:
+def run_rules(root: Path, files: list[Path], fixture_mode: bool,
+              repo: Path) -> list[Finding]:
+    """Models `files` (relative to `root`) and runs every rule. The tree
+    rules see src/ only, except in fixture mode, where every fixture file is
+    in scope; util/annotations.hpp is their vocabulary, not a subject."""
+    models = [FileModel(path, root, fixture_mode) for path in files]
+    tree = TreeModel([fm for fm in models
+                      if (fixture_mode or fm.rel.startswith("src/"))
+                      and not fm.rel.endswith("util/annotations.hpp")],
+                     fixture_mode)
     findings: list[Finding] = []
-    check_tags(tree, findings)
-    check_deadlines(tree, findings)
-    check_sched_protocol(tree, findings)
-    check_lock_order(tree, findings)
-    check_rank_binding(tree, findings)
-    check_guarded_fields(tree, findings)
+    for rule in TREE_RULES:
+        rule(tree, findings)
+    for fm in models:
+        for rule in FILE_RULES:
+            rule(fm, findings)
+        check_include_hygiene(fm, repo, findings)
     unique = {f.key(): f for f in findings}
     return sorted(unique.values(), key=Finding.key)
 
 
-def scan_tree(root: Path) -> list[Finding]:
-    src = root / "src"
-    files = sorted(list(src.rglob("*.cpp")) + list(src.rglob("*.hpp")))
-    if not files:
-        return None
-    return run_rules(build_tree(root, files, fixture_mode=False))
+def tree_files(root: Path) -> list[Path]:
+    """The compiled tree; the fixture corpus is analyzer input, not code."""
+    fixtures = root / FIXTURES_REL
+    return [p for sub in SOURCE_DIRS for p in source_files(root / sub)
+            if fixtures not in p.parents]
 
 
 EXPECT_RE = re.compile(r"//\s*expect-finding:\s*([\w-]+)")
 
 
-def run_fixtures(fixtures_dir: Path) -> bool:
+def run_fixtures(fixtures_dir: Path, repo: Path) -> bool:
     """Each top-level entry (file or directory) is analyzed in isolation and
-    must produce exactly the rule set its expect-finding comments declare."""
+    must produce exactly the rule set its expect-finding comments declare;
+    every rule must be declared by some fixture."""
     if not fixtures_dir.is_dir():
         print(f"ltfb_static: fixtures directory not found: {fixtures_dir}",
               file=sys.stderr)
         return False
-    entries = sorted(fixtures_dir.iterdir(), key=lambda p: p.name)
-    ok = True
-    for entry in entries:
-        if entry.name.startswith(".") or entry.suffix in (".md", ".txt"):
+    ok, declared = True, set()
+    for entry in sorted(fixtures_dir.iterdir(), key=lambda p: p.name):
+        if entry.is_dir():
+            files, root = source_files(entry), entry
+        elif entry.suffix in (".cpp", ".hpp"):
+            files, root = [entry], fixtures_dir
+        else:
             continue
-        files = [entry] if entry.is_file() else \
-            sorted(list(entry.rglob("*.cpp")) + list(entry.rglob("*.hpp")))
-        files = [f for f in files if f.suffix in (".cpp", ".hpp")]
         if not files:
             continue
         expected = set()
         for f in files:
-            expected |= {m.group(1) for m in EXPECT_RE.finditer(f.read_text())}
-        root = entry if entry.is_dir() else fixtures_dir
-        findings = run_rules(build_tree(root, files, fixture_mode=True))
+            expected |= set(EXPECT_RE.findall(f.read_text(encoding="utf-8")))
+        declared |= expected
+        findings = run_rules(root, files, True, repo)
         fired = {f.rule for f in findings}
-        missing = expected - fired
-        extra = fired - expected
-        if missing or extra:
+        if fired != expected:
             ok = False
             print(f"FAIL {entry.name}: expected {sorted(expected)}, "
                   f"fired {sorted(fired)}")
@@ -1018,14 +1438,20 @@ def run_fixtures(fixtures_dir: Path) -> bool:
                 print(f"    {f}")
         else:
             print(f"ok   {entry.name}: {sorted(fired) or '(clean)'}")
+    for rule in ALL_RULES:
+        if rule not in declared:
+            ok = False
+            print(f"FAIL no fixture declares rule {rule}")
     return ok
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="LTFB comm-protocol & concurrency-contract analyzer")
-    parser.add_argument("--root", default=".",
-                        help="repository root (default: cwd)")
+        description="LTFB repo invariants and comm-protocol/concurrency "
+                    "contract checker")
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="repository root (default: this script's repo)")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as JSON")
     parser.add_argument("--fixtures", metavar="DIR",
@@ -1034,38 +1460,31 @@ def main() -> int:
     parser.add_argument("--validate", action="store_true",
                         help="tree must be clean AND every fixture must fire")
     args = parser.parse_args()
-    root = Path(args.root).resolve()
+    root = args.root.resolve()
 
     if args.fixtures and not args.validate:
-        return 0 if run_fixtures(Path(args.fixtures).resolve()) else 1
+        return 0 if run_fixtures(Path(args.fixtures).resolve(), root) else 1
 
-    if args.validate:
-        findings = scan_tree(root)
-        if findings is None:
-            print("ltfb_static: no sources under src/", file=sys.stderr)
-            return 1
-        for f in findings:
-            print(f)
-        tree_clean = not findings
-        print(f"tree: {'clean' if tree_clean else f'{len(findings)} finding(s)'}")
-        fixtures_dir = Path(args.fixtures).resolve() if args.fixtures \
-            else root / "tests" / "test_static_fixtures"
-        fixtures_ok = run_fixtures(fixtures_dir)
-        print(f"fixtures: {'ok' if fixtures_ok else 'FAILED'}")
-        return 0 if (tree_clean and fixtures_ok) else 1
-
-    findings = scan_tree(root)
-    if findings is None:
-        print("ltfb_static: no sources under src/", file=sys.stderr)
-        return 126
-    if args.json:
+    files = tree_files(root)
+    if not files:
+        # A mistyped --root must not green-light the tree in CI.
+        print(f"ltfb_static: error: no sources found under {root}",
+              file=sys.stderr)
+        return 1 if args.validate else 126
+    findings = run_rules(root, files, False, root)
+    if args.json and not args.validate:
         print(json.dumps([f.to_dict() for f in findings], indent=2))
     else:
         for f in findings:
             print(f)
-        if findings:
-            print(f"\nltfb_static: {len(findings)} finding(s)")
-    return min(len(findings), 125)
+        print(f"ltfb_static: {len(files)} files checked, "
+              f"{len(findings)} finding(s)")
+    if not args.validate:
+        return min(len(findings), 125)
+    fixtures_ok = run_fixtures(
+        Path(args.fixtures or root / FIXTURES_REL).resolve(), root)
+    print(f"fixtures: {'ok' if fixtures_ok else 'FAILED'}")
+    return 0 if not findings and fixtures_ok else 1
 
 
 if __name__ == "__main__":
